@@ -2,8 +2,8 @@
 """R-bound estimates for the four end-to-end operator families.
 
 Runs 200 and 400 trials with nested seeding (so the 400-trial value is a
-superset maximum) and prints the doubling drift.  KORTEWEG_THREADS caps
-the worker pool.
+superset maximum) and prints the doubling drift and the seconds per
+family.
 """
 
 import sys

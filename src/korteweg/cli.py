@@ -241,8 +241,7 @@ def _run_solve(cfg: ScenarioConfig) -> int:
 
 def _run_rbound(cfg: ScenarioConfig) -> int:
     dc = derive_constants(cfg.params)
-    sector = cfg.sector or Sector(derive_constants(cfg.params).sigma_w + 0.4,
-                                  0.5)
+    sector = cfg.sector or Sector(dc.sigma_w + 0.4, 0.5)
     geo = HalfGeometry(dim=2, points_per_axis=int(cfg.extra.get(
         "points_per_axis", 16)))
     fams = cfg.extra.get("family")
@@ -299,7 +298,10 @@ def run(cfg: ScenarioConfig) -> int:
     except (SingularLopatinskii, NeumannDiverged) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, EmptyGrid) as exc:
+    except EmptyGrid as exc:
+        print(f"invalid grid: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     raise AssertionError("unreachable scenario")

@@ -20,14 +20,14 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatch, LambdaOutsideSector, SingularLopatinskii
 from .model import DerivedConstants, MaterialParams, Sector, derive_constants
-from .symbols import (FrakSymbols, RootSet, frak_symbols, kernel_M,
-                      lam_axes, lopatinskii, roots_t)
+from .symbols import (FrakSymbols, RootSet, expand_modes, frak_symbols,
+                      kernel_M, lam_axes, lopatinskii, roots_t)
 
 SINGULAR_TOL = 1e-13
 
@@ -49,10 +49,6 @@ class TangentialGrid:
     @property
     def axes_range(self):
         return tuple(range(-self.dim_t, 0))
-
-    def axes(self):
-        m = self.modes_per_axis
-        return np.arange(m) * (self.period / m)
 
     def xi_mesh(self):
         m = self.modes_per_axis
@@ -94,13 +90,6 @@ class NormalSamples:
     @classmethod
     def uniform(cls, n: int, height: float) -> "NormalSamples":
         return cls(np.linspace(0.0, height, n))
-
-    def trapezoid_weights(self):
-        x = self.x
-        w = np.zeros_like(x)
-        w[:-1] += 0.5 * np.diff(x)
-        w[1:] += 0.5 * np.diff(x)
-        return w
 
 
 class ChannelProfile:
@@ -163,7 +152,7 @@ class ChannelProfile:
         """Sample against a precomputed channel-value table."""
         total = None
         for ch, c in self.coeffs.items():
-            term = _expand(c, x) * table[ch]
+            term = expand_modes(c, x) * table[ch]
             total = term if total is None else total + term
         if total is None:
             raise ValueError("empty profile")
@@ -180,20 +169,12 @@ class ChannelProfile:
         return np.asarray(total, dtype=complex)
 
 
-def _expand(arr, x):
-    arr = np.asarray(arr)
-    x = np.asarray(x)
-    if arr.ndim and x.ndim:
-        return arr.reshape(arr.shape + (1,) * x.ndim)
-    return arr
-
-
 def channel_table(roots: RootSet, x) -> dict:
     """All six channel values at the normal samples, computed once."""
     x = np.asarray(x, dtype=float)
-    return {"exp_omega": np.exp(-_expand(roots.omega, x) * x),
-            "exp_t1": np.exp(-_expand(roots.t1, x) * x),
-            "exp_t2": np.exp(-_expand(roots.t2, x) * x),
+    return {"exp_omega": np.exp(-expand_modes(roots.omega, x) * x),
+            "exp_t1": np.exp(-expand_modes(roots.t1, x) * x),
+            "exp_t2": np.exp(-expand_modes(roots.t2, x) * x),
             "M0": kernel_M(0, x, roots),
             "M1": kernel_M(1, x, roots),
             "M2": kernel_M(2, x, roots)}
@@ -455,30 +436,17 @@ class ReducedSolution:
     """Solution of the reduced problem, carried per mode.
 
     ``rho_prof`` and ``u_profs`` hold the production (eliminated-form)
-    representation; ``modes`` lazily computes the closed-form amplitudes
-    for diagnostics and the representation-level invariants.
+    representation; the amplitude paths (``coefficients_direct``,
+    ``coefficients_closed_form``) are separate oracles.
     """
 
     grid: TangentialGrid
     normal: NormalSamples
     lam: complex
     params: MaterialParams
-    dc: DerivedConstants
     roots: RootSet
-    g_hat0: np.ndarray
-    h_hat0: np.ndarray
     rho_prof: ChannelProfile
     u_profs: list
-    _modes: ModeSolution | None = None
-    _cache: dict = field(default_factory=dict)
-
-    @property
-    def modes(self) -> ModeSolution:
-        if self._modes is None:
-            xi = tuple(self.grid.xi_mesh())
-            self._modes = coefficients_closed_form(
-                xi, self.lam, self.g_hat0, self.h_hat0, self.dc, self.params)
-        return self._modes
 
     @property
     def n_components(self):
@@ -487,11 +455,6 @@ class ReducedSolution:
     def rho_hat(self, x=None):
         x = self.normal.x if x is None else x
         return self.rho_prof.evaluate(self.roots, x)
-
-    def u_hat(self, x=None):
-        x = self.normal.x if x is None else x
-        return np.stack([prof.evaluate(self.roots, x)
-                         for prof in self.u_profs])
 
     def rho(self, x=None):
         return self._ifft_profile(self.rho_hat(x))
@@ -524,8 +487,7 @@ def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
     rho_prof, u_profs, roots = s6_profiles(
         xi, lam_axes(lam, grid.dim_t), g_hat0, h_hat0, dc, p)
     return ReducedSolution(grid=grid, normal=normal, lam=lam, params=p,
-                           dc=dc, roots=roots, g_hat0=g_hat0, h_hat0=h_hat0,
-                           rho_prof=rho_prof, u_profs=u_profs)
+                           roots=roots, rho_prof=rho_prof, u_profs=u_profs)
 
 
 def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,
@@ -603,15 +565,15 @@ def residual_reduced(sol: ReducedSolution, g_trace, h_trace) -> ReducedResidual:
 
     # interior momentum rows
     mom_max = 0.0
-    lap = lambda v0, v2: v2 - _expand(xi2, x) * v0  # noqa: E731
+    lap = lambda v0, v2: v2 - expand_modes(xi2, x) * v0  # noqa: E731
     rho_lap = lap(ev(rho0), ev(rho2))
-    rho_lap_d = ev(rho3) - _expand(xi2, x) * ev(rho1)
+    rho_lap_d = ev(rho3) - expand_modes(xi2, x) * ev(rho1)
     phi_v = ev(phi0)
     phi_d = ev(phi1)
     for j in range(n - 1):
         row = (lam * ev(u0[j]) - p.mu * lap(ev(u0[j]), ev(u2[j]))
-               - p.nu * 1j * _expand(xi[j], x) * phi_v
-               - p.kappa * 1j * _expand(xi[j], x) * rho_lap)
+               - p.nu * 1j * expand_modes(xi[j], x) * phi_v
+               - p.kappa * 1j * expand_modes(xi[j], x) * rho_lap)
         mom_max = max(mom_max,
                       float(np.max(np.abs(sol._ifft_profile(row)))))
     row = (lam * ev(u0[n - 1]) - p.mu * lap(ev(u0[n - 1]), ev(u2[n - 1]))

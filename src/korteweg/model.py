@@ -81,11 +81,6 @@ class DerivedConstants:
     s1: complex
     s2: complex
 
-    @property
-    def s_diff(self) -> complex:
-        """s2 - s1 (never zero for admissible parameters)."""
-        return self.s2 - self.s1
-
 
 @dataclass(frozen=True)
 class Sector:

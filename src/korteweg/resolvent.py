@@ -24,7 +24,7 @@ from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
 from .model import DerivedConstants, MaterialParams, Sector, derive_constants
 from .symbols import lam_axes
-from .wholespace import BoxGrid
+from .wholespace import BoxGrid, solve_whole_hat
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,17 @@ class HalfGeometry:
         w[-1] *= 0.5
         return w
 
+    def block_sq(self, blocks) -> float:
+        """Sum of squared half-box L2 norms over a sequence of blocks.
+
+        The leading (component and batch) axes of each block are summed.
+        """
+        w = self.normal_weights() * self.tangential.cell_measure()
+        return sum(float(np.sum(np.abs(b) ** 2 * w)) for b in blocks)
+
     def half_l2(self, arr) -> float:
         """L2 over the half box; leading axes are components."""
-        w = self.normal_weights()
-        cell = self.tangential.cell_measure()
-        return float(np.sqrt(np.sum(np.abs(arr) ** 2 * w) * cell))
+        return float(np.sqrt(self.block_sq([arr])))
 
 
 @dataclass
@@ -168,22 +174,6 @@ def restrict(geometry: HalfGeometry, arr):
     m = geometry.points_per_axis
     half = arr[..., m // 2:]
     return np.concatenate([half, arr[..., :1]], axis=-1)
-
-
-def _solve_whole_hat(d_hat, f_hat, lam, p, grid: BoxGrid):
-    """Multiplier application in coefficient space (see wholespace)."""
-    mesh = grid.freq_mesh()
-    xi_sq = sum(x * x for x in mesh)
-    lam = lam_axes(lam, grid.dim)
-    pp = lam * lam + (p.mu + p.nu) * lam * xi_sq + p.kappa * xi_sq ** 2
-    visc = lam + p.mu * xi_sq
-    ixi_dot_f = sum(1j * mesh[j] * f_hat[j] for j in range(grid.dim))
-    rho_hat = ((lam + (p.mu + p.nu) * xi_sq) / pp) * d_hat - ixi_dot_f / pp
-    coupling = (p.nu * lam + p.kappa * xi_sq) / (visc * pp)
-    u_hat = np.stack([-p.kappa * 1j * mesh[j] * xi_sq / pp * d_hat
-                      + f_hat[j] / visc + 1j * mesh[j] * coupling * ixi_dot_f
-                      for j in range(grid.dim)])
-    return rho_hat, u_hat
 
 
 class _WholePart:
@@ -358,9 +348,8 @@ class PipelineSolution:
         return second, sq * first, lam * self.u()
 
     def output_norm(self) -> float:
-        geo = self.geometry
         blocks = list(self.s_blocks()) + list(self.t_blocks())
-        return float(np.sqrt(sum(geo.half_l2(b) ** 2 for b in blocks)))
+        return float(np.sqrt(self.geometry.block_sq(blocks)))
 
 
 def _unit(n, axis):
@@ -441,7 +430,7 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
     axes_box = tuple(range(-geo.dim, 0))
     d_hat = np.fft.fftn(extend_even(geo, data.d), axes=axes_box)
     f_hat = np.fft.fftn(extend_zero(geo, data.f), axes=axes_box)
-    rho_hat, u_hat = _solve_whole_hat(d_hat, f_hat, lam, p, geo.box)
+    rho_hat, u_hat = solve_whole_hat(d_hat, f_hat, lam, p, geo.box)
     whole = _WholePart(geo, rho_hat, u_hat)
     g_t, h_t = correct_boundary_data_hat(data, whole, p)
     red = solve_reduced_hat(g_t, h_t, lam, geo.tangential,
@@ -457,9 +446,7 @@ def fx_norm(data: FullData, lam: complex) -> float:
     lam^{1/2} grad h, lam h.  Normal derivatives of the data fields are
     evaluated spectrally on the even extension.
     """
-    blocks = data_blocks(data, lam)
-    geo = data.geometry
-    return float(np.sqrt(sum(geo.half_l2(b) ** 2 for b in blocks)))
+    return float(np.sqrt(data.geometry.block_sq(data_blocks(data, lam))))
 
 
 def data_blocks(data: FullData, lam: complex):

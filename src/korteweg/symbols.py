@@ -166,21 +166,6 @@ class FrakSymbols:
     r1: np.ndarray | complex
     r2: np.ndarray | complex
 
-    def m(self, j):
-        return self.m1 if j == 1 else self.m2
-
-    def p(self, j):
-        return self.p1 if j == 1 else self.p2
-
-    def q(self, j):
-        return self.q1 if j == 1 else self.q2
-
-    def l(self, j):
-        return self.l1 if j == 1 else self.l2
-
-    def r(self, j):
-        return self.r1 if j == 1 else self.r2
-
 
 def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
                  roots: RootSet | None = None) -> FrakSymbols:

@@ -14,8 +14,6 @@ numbers are internal references, not the paper-level constants.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +27,6 @@ FAMILIES = ("S_A", "T_B", "S_A_dlambda", "T_B_dlambda")
 
 # relative radial step of the lambda-derivative families
 REL_STEP = 1e-5
-
-
-def worker_count() -> int:
-    env = os.environ.get("KORTEWEG_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +178,6 @@ def family_apply(family_id: str, data: FullData, lam: complex,
     return vec, family_weights(family_id, data.geometry)
 
 
-def _weighted_sq(blocks, geometry: HalfGeometry) -> float:
-    """Sum of squared half-grid L2 norms over blocks and batch members."""
-    w = geometry.normal_weights() * geometry.tangential.cell_measure()
-    return sum(float(np.sum(np.abs(b) ** 2 * w)) for b in blocks)
-
-
 def family_weights(family_id: str, geometry: HalfGeometry):
     """Quadrature weights of the flattened output blocks (no solve)."""
     n = geometry.dim
@@ -230,38 +214,31 @@ def estimate_rbound(family_id: str, sector: Sector, p: MaterialParams,
                     trials: int = 200, seed: int = 0,
                     dc: DerivedConstants | None = None,
                     lam_hi: float | None = None,
-                    threads: int | None = None,
                     return_ratios: bool = False):
     """Max over trials of the Rademacher ratio on random sector draws.
 
     Each trial draws m <= m_max sector points and data; trial t uses the
-    RNG seeded by (seed, t), so the estimate is reproducible under any
-    execution schedule and monotone nondecreasing in ``trials``.  A trial
-    makes one batched gamma = 0 solve over all its members.
+    RNG seeded by (seed, t), so the estimate is reproducible and monotone
+    nondecreasing in ``trials``.  A trial makes one batched gamma = 0
+    solve over all its members.
     """
     dc = derive_constants(p) if dc is None else dc
     hi = lam_hi if lam_hi is not None else max(100.0 * max(sector.delta,
                                                            1.0), 1e3)
 
-    def one_trial(t: int) -> float:
+    ratios = []
+    for t in range(trials):
         rng = np.random.default_rng((seed, t))
         m = int(rng.integers(1, m_max + 1))
         lams = sector.sample(rng, m, lam_hi=hi)
         data = random_full_data(geometry, rng, batch=m)
         # p = 2 with Hilbert norms: the exact average is the closed form
-        numer = _weighted_sq(family_blocks(family_id, data, lams, p, dc,
-                                           sector), geometry)
-        denom = _weighted_sq(data_blocks(data, lams), geometry)
+        numer = geometry.block_sq(family_blocks(family_id, data, lams, p,
+                                                dc, sector))
+        denom = geometry.block_sq(data_blocks(data, lams))
         if denom == 0.0:
             raise ZeroDenominator("all trial inputs vanish")
-        return float(np.sqrt(numer / denom))
-
-    n_workers = worker_count() if threads is None else threads
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            ratios = list(pool.map(one_trial, range(trials)))
-    else:
-        ratios = [one_trial(t) for t in range(trials)]
+        ratios.append(float(np.sqrt(numer / denom)))
     est = RBoundEstimate(family_id=family_id, p_exponent=2, m_max=m_max,
                          trials=trials, estimated_bound=float(max(ratios)),
                          sigma=sector.sigma, delta=sector.delta, seed=seed)

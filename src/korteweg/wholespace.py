@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatch, LambdaOutsideSector
 from .model import MaterialParams, Sector
-from .symbols import whole_space_symbol_P
+from .symbols import lam_axes, whole_space_symbol_P
 
 
 @dataclass(frozen=True)
@@ -81,47 +81,54 @@ def l2_norm(grid: BoxGrid, arr) -> float:
     return float(np.sqrt(np.sum(np.abs(arr) ** 2) * grid.cell_volume()))
 
 
-def solve_whole(d, f, lam: complex, p: MaterialParams, grid: BoxGrid,
-                sector: Sector | None = None) -> WholeField:
-    """Apply the resolvent multipliers to data (d, f) on the box.
+def solve_whole_hat(d_hat, f_hat, lam, p: MaterialParams, grid: BoxGrid):
+    """Apply the resolvent multipliers to lattice coefficients (d^, f^).
 
     rho-hat picks up (lam + (mu+nu)|xi|^2)/P from d and -i xi_j / P from
     f_j; u-hat picks up -kappa i xi |xi|^2 / P from d, 1/(lam + mu |xi|^2)
     from f, and the -xi_j xi (nu lam + kappa |xi|^2) coupling.  At xi = 0
     the formulas reduce to rho = d/lam, u = f/lam since P(0, lam) = lam^2.
+
+    ``d_hat`` has shape ``batch + grid.shape`` and ``f_hat``
+    ``(dim,) + batch + grid.shape``; ``lam`` is a scalar or an array that
+    broadcasts against the batch shape.
     """
+    mesh = grid.freq_mesh()
+    xi_sq = sum(x * x for x in mesh)
+    lam = lam_axes(lam, grid.dim)
+    pp = whole_space_symbol_P(xi_sq, lam, p)
+    visc = lam + p.mu * xi_sq
+    ixi_dot_f = sum(1j * mesh[j] * f_hat[j] for j in range(grid.dim))
+    rho_hat = ((lam + (p.mu + p.nu) * xi_sq) / pp) * d_hat - ixi_dot_f / pp
+    # component c of the coupling: -xi_j xi_c (nu lam + kappa |xi|^2) /
+    # ((lam + mu |xi|^2) P) f_j summed over j; with sum_j xi_j f_j written
+    # through i xi . f this flips to +i xi_c (...) (i xi . f)
+    coupling = (p.nu * lam + p.kappa * xi_sq) / (visc * pp)
+    u_hat = np.stack([-p.kappa * 1j * mesh[j] * xi_sq / pp * d_hat
+                      + f_hat[j] / visc + 1j * mesh[j] * coupling * ixi_dot_f
+                      for j in range(grid.dim)])
+    return rho_hat, u_hat
+
+
+def solve_whole(d, f, lam: complex, p: MaterialParams, grid: BoxGrid,
+                sector: Sector | None = None) -> WholeField:
+    """Apply the resolvent multipliers (see solve_whole_hat) on the box."""
     if sector is not None and not sector.contains(lam):
         raise LambdaOutsideSector(f"lambda {lam} outside sector")
     d = np.asarray(d, dtype=complex)
     f = np.asarray(f, dtype=complex)
     if d.shape != grid.shape or f.shape != (grid.dim,) + grid.shape:
         raise GridMismatch("data shapes do not match grid")
-
-    mesh = grid.freq_mesh()
-    xi_sq = sum(x * x for x in mesh)
-    pp = whole_space_symbol_P(xi_sq, lam, p)
-    visc = lam + p.mu * xi_sq
-    if np.min(np.abs(pp)) == 0.0 or np.min(np.abs(visc)) == 0.0:
+    xi_sq = grid.xi_sq()
+    if (np.min(np.abs(whole_space_symbol_P(xi_sq, lam, p))) == 0.0
+            or np.min(np.abs(lam + p.mu * xi_sq)) == 0.0):
         raise LambdaOutsideSector("multiplier denominator vanishes on "
                                   "the lattice")
-
-    d_hat = np.fft.fftn(d)
-    f_hat = np.fft.fftn(f, axes=tuple(range(1, grid.dim + 1)))
-    ixi_dot_f = sum(1j * mesh[j] * f_hat[j] for j in range(grid.dim))
-
-    rho_hat = ((lam + (p.mu + p.nu) * xi_sq) / pp) * d_hat - ixi_dot_f / pp
-    # component c of the coupling: -xi_j xi_c (nu lam + kappa |xi|^2) /
-    # ((lam + mu |xi|^2) P) f_j summed over j; with sum_j xi_j f_j written
-    # through i xi . f this flips to +i xi_c (...) (i xi . f)
-    coupling = (p.nu * lam + p.kappa * xi_sq) / (visc * pp)
-    u_hat = np.empty_like(f_hat)
-    for j in range(grid.dim):
-        u_hat[j] = (-p.kappa * 1j * mesh[j] * xi_sq / pp * d_hat
-                    + f_hat[j] / visc + 1j * mesh[j] * coupling * ixi_dot_f)
-
-    rho = np.fft.ifftn(rho_hat)
-    u = np.fft.ifftn(u_hat, axes=tuple(range(1, grid.dim + 1)))
-    return WholeField(grid=grid, rho=rho, u=u)
+    axes = tuple(range(1, grid.dim + 1))
+    rho_hat, u_hat = solve_whole_hat(np.fft.fftn(d), np.fft.fftn(f, axes=axes),
+                                     lam, p, grid)
+    return WholeField(grid=grid, rho=np.fft.ifftn(rho_hat),
+                      u=np.fft.ifftn(u_hat, axes=axes))
 
 
 def apply_lhs(field: WholeField, lam: complex, p: MaterialParams):

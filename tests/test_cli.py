@@ -77,6 +77,15 @@ class TestScenarios:
         assert report["scan"]["C"] > 0
         assert report["empirical_sigma_star"] > 0
 
+    def test_empty_scan_grid_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "scan", "target": "l1",
+            "params": {"mu": 1, "nu": 1, "kappa": 2},
+            "grid": {"n_lambda": 0}}))
+        assert run_cli(["scan", "--config", str(cfg)]) == 2
+        assert "invalid grid" in capsys.readouterr().err
+
     def test_solve_full_report(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -10,6 +10,7 @@ from korteweg.manufactured import (ManufacturedPair, manufactured_data,
                                    manufactured_fields)
 from korteweg.symbols import frak_symbols, roots_t
 from korteweg.verification import spearman_rho
+from korteweg.wholespace import solve_whole
 
 P = MaterialParams(1.0, 1.0, 2.0)
 DC = derive_constants(P)
@@ -311,6 +312,51 @@ class TestBatchedSolve:
             rv.solve_gamma_zero(member(data, 1), complex(lams[1]), P, DC)
         with pytest.raises(SingularLopatinskii):
             rv.solve_gamma_zero(data, lams, P, DC)
+
+
+class TestOneWholeSpaceMultiplier:
+    """The whole part of the gamma = 0 solve is solve_whole on the
+    extended data: both go through the same coefficient-space multiplier."""
+
+    @staticmethod
+    def whole_fields(sol, geo):
+        axes = tuple(range(-geo.dim, 0))
+        return (np.fft.ifftn(sol.whole.rho_hat, axes=axes),
+                np.fft.ifftn(sol.whole.u_hat, axes=axes))
+
+    @staticmethod
+    def reference(datum, lam, geo):
+        ref = solve_whole(rv.extend_even(geo, datum.d),
+                          rv.extend_zero(geo, datum.f), lam, P, geo.box)
+        return ref.rho, ref.u
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    def test_single_datum(self, dim, m):
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(20))
+        lam = 3.0 + 8.0j
+        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lam, P, DC),
+                                   geo)
+        ref_rho, ref_u = self.reference(data, lam, geo)
+        self.assert_close(rho, ref_rho)
+        self.assert_close(u, ref_u)
+
+    def test_batch_of_three(self):
+        geo = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(21), batch=3)
+        lams = MIXED_LAMS[:3]
+        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lams, P, DC),
+                                   geo)
+        for i, lam in enumerate(lams):
+            ref_rho, ref_u = self.reference(member(data, i), complex(lam),
+                                            geo)
+            self.assert_close(rho[i], ref_rho)
+            self.assert_close(u[:, i], ref_u)
 
 
 class TestFullDataShapes:

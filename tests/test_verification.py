@@ -135,13 +135,6 @@ class TestEstimateRBound:
         assert lo.estimated_bound <= hi.estimated_bound * 1.25
         assert hi.estimated_bound <= lo.estimated_bound * 1.25
 
-    def test_thread_determinism(self):
-        a = vf.estimate_rbound("S_A", SEC, P, GEO, m_max=3, trials=8,
-                               seed=3, threads=1)
-        b = vf.estimate_rbound("S_A", SEC, P, GEO, m_max=3, trials=8,
-                               seed=3, threads=4)
-        assert a.estimated_bound == b.estimated_bound
-
     def test_delta_floor_uniformity(self):
         # estimates stay within a factor 4 band as the lambda draws move
         # up two decades
