@@ -12,7 +12,7 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +216,7 @@ def _run_solve(cfg: ScenarioConfig) -> int:
     bump = InteriorBump.random(geo.tangential, rng, kmax=4)
     x = geo.normal_samples().x
     gamma = float(cfg.extra.get("gamma", cfg.params.gamma))
-    params = MaterialParams(cfg.params.mu, cfg.params.nu, cfg.params.kappa,
-                            gamma, cfg.params.rho_ref)
+    params = replace(cfg.params, gamma=gamma)
     d_hat, f_hat, g_hat, h_hat = resolvent_rows_of_bump(bump, x, lam,
                                                         params, gamma)
     data = FullData(geometry=geo,
@@ -319,7 +318,7 @@ def _build_parser():
     for name in ("validate", "scan", "solve", "rbound", "probe"):
         sp = sub.add_parser(name, parents=[common])
         if name == "validate":
-            for key in ("mu", "nu", "kappa", "gamma", "rho_ref"):
+            for key in ("mu", "nu", "kappa", "gamma"):
                 sp.add_argument(f"--{key}", type=float, default=None)
         if name == "scan":
             sp.add_argument("--target", type=str, default=None)
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         raw.setdefault("scenario", "validate")
         params = dict(raw.get("params", {}))
-        for key in ("mu", "nu", "kappa", "gamma", "rho_ref"):
+        for key in ("mu", "nu", "kappa", "gamma"):
             val = getattr(args, key, None)
             if val is not None:
                 params[key] = val

@@ -1,9 +1,8 @@
 """Physical parameters, derived spectral constants, and the resolvent sector.
 
-The model carries five coefficients: two viscosities ``mu``, ``nu``, a
-capillary coefficient ``kappa``, a pressure-gradient coefficient ``gamma``
-and a reference density ``rho_ref``.  Everything downstream works on the
-rescaled system, so ``rho_ref`` only enters through the rescaling map.
+The model carries four coefficients of the rescaled system (reference
+density 1): two viscosities ``mu``, ``nu``, a capillary coefficient
+``kappa`` and a pressure-gradient coefficient ``gamma``.
 
 The characteristic quadratic  s^2 - ((mu+nu)/kappa) s + 1/kappa = 0  has
 roots s1 (plus branch), s2 (minus branch); the discriminant-like quantity
@@ -40,14 +39,13 @@ class MaterialParams:
     nu: float
     kappa: float
     gamma: float = 0.0
-    rho_ref: float = 1.0
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "MaterialParams":
-        """Build from a JSON object with keys mu, nu, kappa, gamma, rho_ref."""
+        """Build from a JSON object with keys mu, nu, kappa, gamma."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        known = {"mu", "nu", "kappa", "gamma", "rho_ref"}
+        known = {"mu", "nu", "kappa", "gamma"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
@@ -63,7 +61,6 @@ class MaterialParams:
             "nu": self.nu,
             "kappa": self.kappa,
             "gamma": self.gamma,
-            "rho_ref": self.rho_ref,
         }
 
 
@@ -137,7 +134,7 @@ def validate(p: MaterialParams) -> Verdict:
     ((mu+nu)^2/kappa^2 for eta_w, mu*nu for the kappa test).
     """
     failures: list[type] = []
-    if min(p.mu, p.nu, p.kappa, p.rho_ref) <= 0.0:
+    if min(p.mu, p.nu, p.kappa) <= 0.0:
         failures.append(NonPositiveCoefficient)
     else:
         eta = eta_w_of(p)
@@ -171,14 +168,3 @@ def derive_constants(p: MaterialParams) -> DerivedConstants:
 
 def sector_contains(sector: Sector, lam: complex) -> bool:
     return sector.contains(lam)
-
-
-def rescale_map(p: MaterialParams) -> MaterialParams:
-    """Substitution taking the physical system to the rescaled one.
-
-    rho -> rho_ref * rho, mu -> rho_ref * mu, nu -> rho_ref * nu,
-    kappa -> kappa / rho_ref; the solvers operate on the result.
-    """
-    r = p.rho_ref
-    return MaterialParams(mu=r * p.mu, nu=r * p.nu, kappa=p.kappa / r,
-                          gamma=p.gamma, rho_ref=1.0)

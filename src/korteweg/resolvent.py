@@ -15,6 +15,7 @@ finite difference.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,10 +135,6 @@ class FullData:
                    f=np.zeros((n,) + geometry.half_shape, dtype=complex),
                    g=np.zeros((n,) + geometry.half_shape, dtype=complex),
                    h=np.zeros(geometry.half_shape, dtype=complex))
-
-    def copy(self) -> "FullData":
-        return FullData(self.geometry, self.d.copy(), self.f.copy(),
-                        self.g.copy(), self.h.copy())
 
     def combine(self, other: "FullData", factor=1.0) -> "FullData":
         return FullData(self.geometry, self.d + factor * other.d,
@@ -292,60 +289,61 @@ class PipelineSolution:
         for i, spec in enumerate(todo):
             self._cache[spec] = fields[i]
 
-    def rho_field(self, orders=None):
-        orders = orders or (0,) * self.geometry.dim
-        key = ("rho", tuple(orders))
-        if key not in self._cache:
-            self._field_batch([key])
-        return self._cache[key]
+    def field(self, which, orders=None):
+        """A derivative of 'rho' or of a velocity component on the half grid.
 
-    def u_field(self, comp: int, orders=None):
-        orders = orders or (0,) * self.geometry.dim
-        key = (comp, tuple(orders))
+        ``orders`` counts the derivatives per axis (none by default).
+        """
+        key = (which, tuple(orders or (0,) * self.geometry.dim))
         if key not in self._cache:
             self._field_batch([key])
         return self._cache[key]
 
     def rho(self):
-        return self.rho_field()
+        return self.field("rho")
 
     def u(self):
-        return np.stack([self.u_field(c) for c in range(self.geometry.dim)])
+        return np.stack([self.field(c) for c in range(self.geometry.dim)])
 
     def grad_rho(self):
         n = self.geometry.dim
-        return np.stack([self.rho_field(_unit(n, ax)) for ax in range(n)])
+        return np.stack([self.field("rho", _unit(n, ax)) for ax in range(n)])
 
     def _lam(self):
         return lam_axes(np.asarray(self.lam, dtype=complex),
                         self.geometry.dim)
 
+    def _blocks(self, comps, totals):
+        """One block per total order: each distinct derivative of each
+        component, from one batched evaluation.
+
+        Rows are scaled by the root of their multiplicity, so a block's
+        norm is the norm of the full derivative tensor.
+        """
+        rows = [[(c, o, root) for c in comps
+                 for o, root in _orders(self.geometry.dim, total)]
+                for total in totals]
+        self._field_batch([(c, o) for block in rows for c, o, _ in block])
+        out = []
+        for block in rows:
+            arr = np.stack([self._cache[(c, o)] for c, o, _ in block])
+            arr *= np.array([root for _, _, root in block]).reshape(
+                (-1,) + (1,) * (arr.ndim - 1))
+            out.append(arr)
+        return out
+
     def s_blocks(self):
         """(third gradient, sqrt(lam) second gradient, lam rho) stacked."""
-        n = self.geometry.dim
         lam = self._lam()
-        sq = np.sqrt(lam)
-        zero = (0,) * n
-        self._field_batch([("rho", o) for o in _orders(n, 3)]
-                          + [("rho", o) for o in _orders(n, 2)]
-                          + [("rho", zero)])
-        third = np.stack([self.rho_field(o) for o in _orders(n, 3)])
-        second = np.stack([self.rho_field(o) for o in _orders(n, 2)])
-        return third, sq * second, lam * self.rho()
+        third, second, zeroth = self._blocks(["rho"], (3, 2, 0))
+        return third, np.sqrt(lam) * second, lam * zeroth[0]
 
     def t_blocks(self):
-        n = self.geometry.dim
+        """(second gradient, sqrt(lam) gradient, lam u) stacked."""
         lam = self._lam()
-        sq = np.sqrt(lam)
-        zero = (0,) * n
-        self._field_batch([(c, o) for c in range(n)
-                           for total in (2, 1, 0)
-                           for o in _orders(n, total)])
-        second = np.stack([self.u_field(c, o) for c in range(n)
-                           for o in _orders(n, 2)])
-        first = np.stack([self.u_field(c, o) for c in range(n)
-                          for o in _orders(n, 1)])
-        return second, sq * first, lam * self.u()
+        second, first, zeroth = self._blocks(range(self.geometry.dim),
+                                             (2, 1, 0))
+        return second, np.sqrt(lam) * first, lam * zeroth
 
     def output_norm(self) -> float:
         blocks = list(self.s_blocks()) + list(self.t_blocks())
@@ -359,22 +357,17 @@ def _unit(n, axis):
 
 
 def _orders(n, total):
-    """All ordered derivative count-vectors with the given total order."""
-    out = []
+    """Each derivative count-vector of the given total order, once.
+
+    Yields (orders, root): root is the square root of the number of
+    ordered index tuples that give the same derivative.
+    """
     for combo in itertools.product(range(total + 1), repeat=n):
         if sum(combo) == total:
-            weight = _multinomial(total, combo)
-            out.extend([combo] * weight)
-    return out
-
-
-def _multinomial(total, combo):
-    from math import comb
-    w, rest = 1, total
-    for c in combo:
-        w *= comb(rest, c)
-        rest -= c
-    return w
+            count = math.factorial(total)
+            for c in combo:
+                count //= math.factorial(c)
+            yield combo, math.sqrt(count)
 
 
 def correct_boundary_data_hat(data: FullData, whole: _WholePart,
@@ -697,28 +690,28 @@ def residual_full(sol: PipelineSolution, data: FullData,
     zero = (0,) * n
     d_norm = _unit(n, n - 1)
 
-    rho = sol.rho_field(zero)
-    div_u = sum(sol.u_field(j, _unit(n, j)) for j in range(n))
+    rho = sol.field("rho", zero)
+    div_u = sum(sol.field(j, _unit(n, j)) for j in range(n))
     mass = np.abs(lam * rho + div_u - data.d)
 
     lap = [tuple(2 * np.eye(n, dtype=int)[ax]) for ax in range(n)]
-    lap_rho = sum(sol.rho_field(o) for o in lap)
-    grad_div = [sum(sol.u_field(k, _add(_unit(n, k), _unit(n, j)))
+    lap_rho = sum(sol.field("rho", o) for o in lap)
+    grad_div = [sum(sol.field(k, _add(_unit(n, k), _unit(n, j)))
                     for k in range(n)) for j in range(n)]
-    grad_rho = [sol.rho_field(_unit(n, j)) for j in range(n)]
-    grad_lap_rho = [sum(sol.rho_field(_add(o, _unit(n, j))) for o in lap)
+    grad_rho = [sol.field("rho", _unit(n, j)) for j in range(n)]
+    grad_lap_rho = [sum(sol.field("rho", _add(o, _unit(n, j))) for o in lap)
                     for j in range(n)]
     momentum = 0.0
     for j in range(n):
-        lap_uj = sum(sol.u_field(j, o) for o in lap)
-        row = (lam * sol.u_field(j, zero) - p.mu * lap_uj
+        lap_uj = sum(sol.field(j, o) for o in lap)
+        row = (lam * sol.field(j, zero) - p.mu * lap_uj
                - p.nu * grad_div[j] + gamma * grad_rho[j]
                - p.kappa * grad_lap_rho[j] - data.f[j])
         momentum = max(momentum, float(np.max(np.abs(row))))
 
     # boundary rows at the first normal sample
-    du = [sol.u_field(j, d_norm)[..., 0] for j in range(n)]
-    u0 = [sol.u_field(j, zero)[..., 0] for j in range(n)]
+    du = [sol.field(j, d_norm)[..., 0] for j in range(n)]
+    u0 = [sol.field(j, zero)[..., 0] for j in range(n)]
     tan = geo.tangential
     xi = tan.xi_mesh()
     stress = 0.0
@@ -730,7 +723,7 @@ def residual_full(sol: PipelineSolution, data: FullData,
               - gamma * rho[..., 0] + p.kappa * lap_rho[..., 0]) \
         - data.g[n - 1][..., 0]
     stress = max(stress, float(np.max(np.abs(row_n))))
-    neumann = float(np.max(np.abs(-sol.rho_field(d_norm)[..., 0]
+    neumann = float(np.max(np.abs(-sol.field("rho", d_norm)[..., 0]
                                   - data.h[..., 0])))
 
     scale = max(float(np.max(np.abs(data.d))), float(np.max(np.abs(data.f))),

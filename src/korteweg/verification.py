@@ -33,14 +33,6 @@ REL_STEP = 1e-5
 # Rademacher averages
 # ---------------------------------------------------------------------------
 
-def _as_block_vector(x):
-    """Flatten a field tuple/array into one complex vector."""
-    if isinstance(x, (tuple, list)):
-        return np.concatenate([np.asarray(b, dtype=complex).ravel()
-                               for b in x])
-    return np.asarray(x, dtype=complex).ravel()
-
-
 def rademacher_mean_sq(vectors, weights=None, mode: str = "exact",
                        rng=None, draws: int = 10_000):
     """E || sum_j eps_j v_j ||^2 over uniform sign vectors.
@@ -144,14 +136,15 @@ def lambda_derivative_family(apply_op, lam: complex, sector: Sector | None
     return _richardson(np.stack(values), rel_step)
 
 
-def family_blocks(family_id: str, data: FullData, lam, p: MaterialParams,
-                  dc: DerivedConstants, sector: Sector | None = None):
+def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,
+                 dc: DerivedConstants, sector: Sector | None = None):
     """Output blocks of one family on a datum or a batch, in one solve.
 
     ``lam`` broadcasts against the data's batch shape.  S_A gives the
     density blocks, T_B the velocity blocks; the dlambda variants apply
     the radial derivative to the end-to-end map, solving all stencil
-    points of every member in the same call.
+    points of every member in the same call.  ``HalfGeometry.block_sq``
+    of the result is the squared family norm.
     """
     if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}")
@@ -167,28 +160,6 @@ def family_blocks(family_id: str, data: FullData, lam, p: MaterialParams,
     # the solution (the whole stencil batch) is freed before differencing
     return [_richardson(b, axis=stencil_axis) for b in blocks(
         solve_gamma_zero(data.with_member_axis(), points, p, dc))]
-
-
-def family_apply(family_id: str, data: FullData, lam: complex,
-                 p: MaterialParams, dc: DerivedConstants,
-                 sector: Sector | None = None):
-    """Evaluate one family member on one datum; returns (vec, weights)."""
-    vec = _as_block_vector(family_blocks(family_id, data, lam, p, dc,
-                                         sector))
-    return vec, family_weights(family_id, data.geometry)
-
-
-def family_weights(family_id: str, geometry: HalfGeometry):
-    """Quadrature weights of the flattened output blocks (no solve)."""
-    n = geometry.dim
-    if family_id in ("S_A", "S_A_dlambda"):
-        counts = [n ** 3, n ** 2, 1]
-    else:
-        counts = [n ** 3, n ** 2, n]
-    w = geometry.normal_weights()
-    cell = geometry.tangential.cell_measure()
-    base = np.broadcast_to(w * cell, geometry.half_shape).ravel()
-    return np.concatenate([np.tile(base, c) for c in counts])
 
 
 @dataclass(frozen=True)
@@ -233,8 +204,8 @@ def estimate_rbound(family_id: str, sector: Sector, p: MaterialParams,
         lams = sector.sample(rng, m, lam_hi=hi)
         data = random_full_data(geometry, rng, batch=m)
         # p = 2 with Hilbert norms: the exact average is the closed form
-        numer = geometry.block_sq(family_blocks(family_id, data, lams, p,
-                                                dc, sector))
+        numer = geometry.block_sq(family_apply(family_id, data, lams, p,
+                                               dc, sector))
         denom = geometry.block_sq(data_blocks(data, lams))
         if denom == 0.0:
             raise ZeroDenominator("all trial inputs vanish")

@@ -53,10 +53,6 @@ class BoxGrid:
         f = self.freq_1d()
         return np.meshgrid(*([f] * self.dim), indexing="ij")
 
-    def xi_sq(self):
-        mesh = self.freq_mesh()
-        return sum(x * x for x in mesh)
-
     def cell_volume(self):
         return (self.period / self.points_per_axis) ** self.dim
 
@@ -91,13 +87,17 @@ def solve_whole_hat(d_hat, f_hat, lam, p: MaterialParams, grid: BoxGrid):
 
     ``d_hat`` has shape ``batch + grid.shape`` and ``f_hat``
     ``(dim,) + batch + grid.shape``; ``lam`` is a scalar or an array that
-    broadcasts against the batch shape.
+    broadcasts against the batch shape.  Raises LambdaOutsideSector
+    where P or lam + mu |xi|^2 vanishes on the lattice.
     """
     mesh = grid.freq_mesh()
     xi_sq = sum(x * x for x in mesh)
     lam = lam_axes(lam, grid.dim)
     pp = whole_space_symbol_P(xi_sq, lam, p)
     visc = lam + p.mu * xi_sq
+    if np.any(pp == 0.0) or np.any(visc == 0.0):
+        raise LambdaOutsideSector("multiplier denominator vanishes on "
+                                  "the lattice")
     ixi_dot_f = sum(1j * mesh[j] * f_hat[j] for j in range(grid.dim))
     rho_hat = ((lam + (p.mu + p.nu) * xi_sq) / pp) * d_hat - ixi_dot_f / pp
     # component c of the coupling: -xi_j xi_c (nu lam + kappa |xi|^2) /
@@ -119,11 +119,6 @@ def solve_whole(d, f, lam: complex, p: MaterialParams, grid: BoxGrid,
     f = np.asarray(f, dtype=complex)
     if d.shape != grid.shape or f.shape != (grid.dim,) + grid.shape:
         raise GridMismatch("data shapes do not match grid")
-    xi_sq = grid.xi_sq()
-    if (np.min(np.abs(whole_space_symbol_P(xi_sq, lam, p))) == 0.0
-            or np.min(np.abs(lam + p.mu * xi_sq)) == 0.0):
-        raise LambdaOutsideSector("multiplier denominator vanishes on "
-                                  "the lattice")
     axes = tuple(range(1, grid.dim + 1))
     rho_hat, u_hat = solve_whole_hat(np.fft.fftn(d), np.fft.fftn(f, axes=axes),
                                      lam, p, grid)

@@ -57,6 +57,14 @@ class TestConfigHandling:
                         "--out", str(tmp_path)])
         assert code == 0
 
+    def test_reference_density_param_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "validate",
+            "params": {"mu": 1, "nu": 1, "kappa": 2, "rho_ref": 2}}))
+        assert run_cli(["validate", "--config", str(cfg)]) == 2
+        assert "rho_ref" in capsys.readouterr().err
+
     def test_unknown_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": "frobnicate"}))

@@ -107,12 +107,14 @@ def test_sector_validation():
 
 
 def test_params_json_round_trip():
-    p = MaterialParams.from_json({"mu": 1, "nu": 2, "kappa": 1, "gamma": 0.5,
-                                  "rho_ref": 2.0})
+    p = MaterialParams.from_json({"mu": 1, "nu": 2, "kappa": 1, "gamma": 0.5})
     assert p.mu == 1.0 and p.gamma == 0.5
     p2 = MaterialParams.from_json(p.to_json())
     assert p == p2
     with pytest.raises(ValueError):
         MaterialParams.from_json({"mu": 1, "nu": 1, "kappa": 1, "bogus": 3})
+    # the system is already rescaled; a reference density is not an input
+    with pytest.raises(ValueError):
+        MaterialParams.from_json({"mu": 1, "nu": 1, "kappa": 2, "rho_ref": 2})
     with pytest.raises(ValueError):
         MaterialParams.from_json({"mu": float("nan"), "nu": 1, "kappa": 1})

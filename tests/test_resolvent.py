@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from korteweg import halfspace as hs
-from korteweg.errors import GridMismatch, NeumannDiverged, SingularLopatinskii
+from korteweg.errors import (GridMismatch, LambdaOutsideSector,
+                             NeumannDiverged, SingularLopatinskii)
 from korteweg.model import MaterialParams, derive_constants
 from korteweg import resolvent as rv
 from korteweg.halfspace import solve_reduced_hat
@@ -357,6 +360,61 @@ class TestOneWholeSpaceMultiplier:
                                             geo)
             self.assert_close(rho[i], ref_rho)
             self.assert_close(u[:, i], ref_u)
+
+
+class TestVanishingMultiplier:
+    """lam = 0 makes P(0, lam) vanish at xi = 0: the gamma = 0 solve stops
+    before dividing, as solve_whole does."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_lambda_zero(self):
+        geo = rv.HalfGeometry(dim=2, points_per_axis=16)
+        data = rv.random_full_data(geo, np.random.default_rng(22))
+        with pytest.raises(LambdaOutsideSector):
+            rv.solve_gamma_zero(data, 0.0, MaterialParams(1, 1, 2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_containing_lambda_zero(self):
+        geo = rv.HalfGeometry(dim=2, points_per_axis=16)
+        data = rv.random_full_data(geo, np.random.default_rng(23), batch=3)
+        with pytest.raises(LambdaOutsideSector):
+            rv.solve_gamma_zero(data, np.array([5.0, 0.0, 2.0j]), P, DC)
+
+
+class TestMultiplicityWeighting:
+    """Blocks store each distinct derivative once, scaled by the root of
+    its multiplicity; the norm must equal the full-tensor norm over every
+    ordered index tuple."""
+
+    @staticmethod
+    def full_tensor_norm(sol, lam):
+        geo = sol.geometry
+        n = geo.dim
+        lam = np.reshape(lam, np.shape(lam) + (1,) * n)
+
+        def sq(which, k, weight=1.0):
+            return sum(geo.block_sq([weight * sol.field(
+                which, tuple(idx.count(a) for a in range(n)))])
+                for idx in itertools.product(range(n), repeat=k))
+
+        comps = range(n)
+        total = (sq("rho", 3) + sq("rho", 2, np.sqrt(lam))
+                 + sq("rho", 0, lam))
+        total += sum(sq(c, 2) + sq(c, 1, np.sqrt(lam)) + sq(c, 0, lam)
+                     for c in comps)
+        return np.sqrt(total)
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_output_norm_is_full_tensor_norm(self, dim, m, batch):
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(24),
+                                   batch=batch)
+        lam = 3.0 + 8.0j if batch is None else MIXED_LAMS[:batch]
+        sol = rv.solve_gamma_zero(data, lam, P, DC)
+        got = sol.output_norm()
+        ref = self.full_tensor_norm(sol, lam)
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 class TestFullDataShapes:
