@@ -3,7 +3,7 @@ model on the half-space, with numerical certification of the symbol
 estimates, boundary-system non-degeneracy, and R-bound estimates."""
 
 from .model import (DerivedConstants, MaterialParams, Sector,
-                    derive_constants, sector_contains, validate)
+                    derive_constants, validate)
 from .symbols import (FrakSymbols, Lopatinskii, RootSet, frak_symbols,
                       kernel_M, kernel_M_derivative, lopatinskii,
                       omega_lambda, roots_t, whole_space_symbol_P)
@@ -15,9 +15,9 @@ from .halfspace import (ModeSolution, NormalSamples, TangentialGrid,
                         coefficients_closed_form, coefficients_direct,
                         residual_reduced, solve_reduced)
 from .resolvent import (FullData, HalfGeometry, auto_lambda0,
-                        contraction_probe, correct_boundary_data,
-                        extend_even, extend_zero, fx_norm, residual_full,
-                        solve_gamma_zero, solve_general)
+                        contraction_probe, extend_even, extend_zero,
+                        fx_norm, residual_full, solve_gamma_zero,
+                        solve_general)
 from .verification import (RBoundEstimate, estimate_rbound,
                            lambda_derivative_family, rademacher_ratio)
 

@@ -20,12 +20,13 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatch, LambdaOutsideSector, SingularLopatinskii
-from .model import DerivedConstants, MaterialParams, Sector, derive_constants
+from .model import (DerivedConstants, MaterialParams, Sector, boundary_rows,
+                    derive_constants, interior_rows, mode_derivative)
 from .symbols import (FrakSymbols, RootSet, expand_modes, frak_symbols,
                       kernel_M, lam_axes, lopatinskii, roots_t)
 
@@ -114,15 +115,6 @@ class ChannelProfile:
         else:
             self.coeffs[channel] = +np.asarray(coeff, dtype=complex)
         return self
-
-    def __add__(self, other: "ChannelProfile") -> "ChannelProfile":
-        out = ChannelProfile(self.coeffs)
-        for ch, c in other.coeffs.items():
-            out.add(ch, c)
-        return out
-
-    def scaled(self, factor) -> "ChannelProfile":
-        return ChannelProfile({ch: c * factor for ch, c in self.coeffs.items()})
 
     def derivative(self, roots: RootSet) -> "ChannelProfile":
         out = ChannelProfile()
@@ -447,10 +439,23 @@ class ReducedSolution:
     roots: RootSet
     rho_prof: ChannelProfile
     u_profs: list
+    _derivatives: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_components(self):
         return self.grid.dim_t + 1
+
+    def profile(self, which, k: int = 0) -> ChannelProfile:
+        """k-th normal derivative profile of 'rho' or of a velocity
+        component, each derived once by the channel recurrences."""
+        key = (which, k)
+        if key not in self._derivatives:
+            if k == 0:
+                prof = self.rho_prof if which == "rho" else self.u_profs[which]
+            else:
+                prof = self.profile(which, k - 1).derivative(self.roots)
+            self._derivatives[key] = prof
+        return self._derivatives[key]
 
     def rho_hat(self, x=None):
         x = self.normal.x if x is None else x
@@ -534,73 +539,33 @@ def residual_reduced(sol: ReducedSolution, g_trace, h_trace) -> ReducedResidual:
     The normal derivatives come from the channel recurrences, so the
     reported numbers reflect only the coefficient algebra.
     """
-    grid, p, lam = sol.grid, sol.params, sol.lam
-    roots = sol.roots
-    xi = tuple(grid.xi_mesh())
-    xi2 = grid.xi_sq()
-    x = sol.normal.x
+    grid, p, x = sol.grid, sol.params, sol.normal.x
     n = sol.n_components
+    xi = tuple(grid.xi_mesh())
+    table = channel_table(sol.roots, x)
 
-    rho0 = sol.rho_prof
-    rho1 = rho0.derivative(roots)
-    rho2 = rho1.derivative(roots)
-    rho3 = rho2.derivative(roots)
-    u0 = sol.u_profs
-    u1 = [prof.derivative(roots) for prof in u0]
-    u2 = [prof.derivative(roots) for prof in u1]
+    def sampled(which, k):
+        return sol.profile(which, k).evaluate_with(table, x)
 
-    table = channel_table(roots, x)
-
-    def ev(prof):
-        return prof.evaluate_with(table, x)
-
-    phi0 = ChannelProfile()  # transform of div u, assembled symbolically
-    for j in range(n - 1):
-        phi0 = phi0 + u0[j].scaled(1j * xi[j])
-    phi0 = phi0 + u1[n - 1]
-    phi1 = phi0.derivative(roots)
-
-    # interior mass row: lam rho + div u
-    mass = lam * ev(rho0) + ev(phi0)
-
-    # interior momentum rows
-    mom_max = 0.0
-    lap = lambda v0, v2: v2 - expand_modes(xi2, x) * v0  # noqa: E731
-    rho_lap = lap(ev(rho0), ev(rho2))
-    rho_lap_d = ev(rho3) - expand_modes(xi2, x) * ev(rho1)
-    phi_v = ev(phi0)
-    phi_d = ev(phi1)
-    for j in range(n - 1):
-        row = (lam * ev(u0[j]) - p.mu * lap(ev(u0[j]), ev(u2[j]))
-               - p.nu * 1j * expand_modes(xi[j], x) * phi_v
-               - p.kappa * 1j * expand_modes(xi[j], x) * rho_lap)
-        mom_max = max(mom_max,
-                      float(np.max(np.abs(sol._ifft_profile(row)))))
-    row = (lam * ev(u0[n - 1]) - p.mu * lap(ev(u0[n - 1]), ev(u2[n - 1]))
-           - p.nu * phi_d - p.kappa * rho_lap_d)
-    mom_max = max(mom_max, float(np.max(np.abs(sol._ifft_profile(row)))))
-
+    mass, momentum = interior_rows(
+        mode_derivative(tuple(expand_modes(c, x) for c in xi), sampled),
+        sol.lam, p, n, 0.0)
     # boundary rows, evaluated at x = 0 through the traces
+    stress, neumann = boundary_rows(
+        mode_derivative(xi, lambda w, k: sol.profile(w, k).trace0()),
+        p, n, 0.0)
     g_hat0 = grid.fft(np.asarray(g_trace, dtype=complex))
     h_hat0 = grid.fft(np.asarray(h_trace, dtype=complex))
-    uN0 = u0[n - 1].trace0()
-    duj0 = [u1[j].trace0() for j in range(n)]
-    stress = 0.0
-    for j in range(n - 1):
-        row = -p.mu * (1j * xi[j] * uN0 + duj0[j]) - g_hat0[j]
-        stress = max(stress, _phys_max(grid, row))
-    lap_rho0 = rho2.trace0() - xi2 * rho0.trace0()
-    row_n = -(2 * p.mu * duj0[n - 1] + (p.nu - p.mu) * phi0.trace0()
-              + p.kappa * lap_rho0) - g_hat0[n - 1]
-    stress = max(stress, _phys_max(grid, row_n))
-    neumann = _phys_max(grid, -rho1.trace0() - h_hat0)
 
-    mass_phys = sol._ifft_profile(mass)
+    def interior_max(rows):
+        return max(float(np.max(np.abs(sol._ifft_profile(r)))) for r in rows)
+
     return ReducedResidual(
-        interior_mass=float(np.max(np.abs(mass_phys))),
-        interior_momentum=mom_max,
-        boundary_stress=stress,
-        boundary_neumann=neumann)
+        interior_mass=interior_max([mass]),
+        interior_momentum=interior_max(momentum),
+        boundary_stress=max(_phys_max(grid, r - g)
+                            for r, g in zip(stress, g_hat0)),
+        boundary_neumann=_phys_max(grid, neumann - h_hat0))
 
 
 def _phys_max(grid: TangentialGrid, mode_row) -> float:

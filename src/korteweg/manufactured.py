@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import ModeSolution, TangentialGrid
-from .model import DerivedConstants, MaterialParams
+from .model import (DerivedConstants, MaterialParams, boundary_rows,
+                    interior_rows, mode_derivative)
 from .symbols import roots_t
 
 
@@ -272,24 +273,18 @@ def manufactured_fields(pair: ManufacturedPair, geometry):
 
 def boundary_rows_of_modes(ms: ModeSolution, p: MaterialParams):
     """Mode-space boundary rows (g, h) of an exponential-form pair."""
-    xi = ms.xi
-    xi2 = sum(c * c for c in xi)
-    roots = ms.roots
-    n = ms.n_components
-    rho0 = ms.rho_profile()
-    rho1 = rho0.derivative(roots)
-    rho2 = rho1.derivative(roots)
-    u0 = [ms.u_profile(c) for c in range(n)]
-    du0 = [prof.derivative(roots).trace0() for prof in u0]
-    u0tr = [prof.trace0() for prof in u0]
-    phi0 = ms.phi_profile().trace0()
-    g_hat = np.zeros((n,) + np.shape(xi2), dtype=complex)
-    for j in range(n - 1):
-        g_hat[j] = -p.mu * (1j * xi[j] * u0tr[n - 1] + du0[j])
-    g_hat[n - 1] = -(2 * p.mu * du0[n - 1] + (p.nu - p.mu) * phi0
-                     + p.kappa * (rho2.trace0() - xi2 * rho0.trace0()))
-    h_hat = -rho1.trace0()
-    return g_hat, h_hat
+    profiles = {"rho": ms.rho_profile()}
+    profiles.update((c, ms.u_profile(c)) for c in range(ms.n_components))
+
+    def trace(which, k):
+        prof = profiles[which]
+        for _ in range(k):
+            prof = prof.derivative(ms.roots)
+        return prof.trace0()
+
+    stress, neumann = boundary_rows(mode_derivative(ms.xi, trace), p,
+                                    ms.n_components, 0.0)
+    return np.stack(stress), neumann
 
 
 def resolvent_rows_of_bump(bump: InteriorBump, x, lam: complex,
@@ -301,39 +296,11 @@ def resolvent_rows_of_bump(bump: InteriorBump, x, lam: complex,
     boundary-operator integrands so callers can both trace them at
     x = 0 and use them as half-space data fields.
     """
-    grid = bump.grid
-    xi = tuple(grid.xi_mesh())
-    xi2 = grid.xi_sq()
-    n = grid.dim_t + 1
-    xi2x = xi2[..., None]
-
+    n = bump.grid.dim_t + 1
     r = bump.rho_derivatives(x, 3)
     u = bump.u_derivatives(x, 2)
-
-    div_u = sum(1j * xi[j][..., None] * u[0][j] for j in range(n - 1)) \
-        + u[1][n - 1]
-    div_u_d = sum(1j * xi[j][..., None] * u[1][j] for j in range(n - 1)) \
-        + u[2][n - 1]
-    lap_rho = r[2] - xi2x * r[0]
-    lap_rho_d = r[3] - xi2x * r[1]
-
-    d_hat = lam * r[0] + div_u
-
-    f_hat = np.empty((n,) + div_u.shape, dtype=complex)
-    for j in range(n - 1):
-        lap_uj = u[2][j] - xi2x * u[0][j]
-        f_hat[j] = (lam * u[0][j] - p.mu * lap_uj
-                    - p.nu * 1j * xi[j][..., None] * div_u
-                    + gamma * 1j * xi[j][..., None] * r[0]
-                    - p.kappa * 1j * xi[j][..., None] * lap_rho)
-    lap_un = u[2][n - 1] - xi2x * u[0][n - 1]
-    f_hat[n - 1] = (lam * u[0][n - 1] - p.mu * lap_un - p.nu * div_u_d
-                    + gamma * r[1] - p.kappa * lap_rho_d)
-
-    g_hat = np.empty_like(f_hat)
-    for j in range(n - 1):
-        g_hat[j] = -p.mu * (1j * xi[j][..., None] * u[0][n - 1] + u[1][j])
-    g_hat[n - 1] = -(2 * p.mu * u[1][n - 1] + (p.nu - p.mu) * div_u
-                     - gamma * r[0] + p.kappa * lap_rho)
-    h_hat = -r[1]
-    return d_hat, f_hat, g_hat, h_hat
+    D = mode_derivative(tuple(c[..., None] for c in bump.grid.xi_mesh()),
+                        lambda w, k: r[k] if w == "rho" else u[k][w])
+    d_hat, f_rows = interior_rows(D, lam, p, n, gamma)
+    g_rows, h_hat = boundary_rows(D, p, n, gamma)
+    return d_hat, np.stack(f_rows), np.stack(g_rows), h_hat

@@ -1,4 +1,5 @@
-"""Physical parameters, derived spectral constants, and the resolvent sector.
+"""Physical parameters, derived spectral constants, the resolvent sector,
+and the rows of the resolvent system (written once, for every caller).
 
 The model carries four coefficients of the rescaled system (reference
 density 1): two viscosities ``mu``, ``nu``, a capillary coefficient
@@ -166,5 +167,67 @@ def derive_constants(p: MaterialParams) -> DerivedConstants:
     return DerivedConstants(eta_w=eta, sigma_w=sigma_w, s1=s1, s2=s2)
 
 
-def sector_contains(sector: Sector, lam: complex) -> bool:
-    return sector.contains(lam)
+def _d(n: int, *axes) -> tuple:
+    """Derivative count-vector of one derivative along each listed axis."""
+    return tuple(axes.count(a) for a in range(n))
+
+
+def interior_rows(D, lam, p: MaterialParams, n: int, gamma: float):
+    """The interior rows of the resolvent system applied to a pair.
+
+    ``D(which, orders)`` returns a derivative of "rho" or of velocity
+    component ``which``, with ``orders[a]`` derivatives along axis a and
+    the normal axis last.  Returns (mass, [momentum_1 .. momentum_n]):
+
+        mass       = lam rho + div u
+        momentum_j = lam u_j - mu Lap u_j - nu d_j div u + gamma d_j rho
+                     - kappa d_j Lap rho
+    """
+    mass = lam * D("rho", _d(n)) + sum(D(k, _d(n, k)) for k in range(n))
+    momentum = [lam * D(j, _d(n))
+                - p.mu * sum(D(j, _d(n, a, a)) for a in range(n))
+                - p.nu * sum(D(k, _d(n, k, j)) for k in range(n))
+                + gamma * D("rho", _d(n, j))
+                - p.kappa * sum(D("rho", _d(n, a, a, j)) for a in range(n))
+                for j in range(n)]
+    return mass, momentum
+
+
+def boundary_rows(D, p: MaterialParams, n: int, gamma: float):
+    """The boundary rows at x_N = 0 (outward normal -e_N), with D as in
+    ``interior_rows``.  Returns ([stress_1 .. stress_n], neumann):
+
+        stress_j = -mu (d_j u_N + d_N u_j)                      (j < N)
+        stress_N = -(2 mu d_N u_N + (nu - mu) div u - gamma rho
+                     + kappa Lap rho)
+        neumann  = -d_N rho
+    """
+    N = n - 1
+    stress = [-p.mu * (D(N, _d(n, j)) + D(j, _d(n, N))) for j in range(N)]
+    div = sum(D(k, _d(n, k)) for k in range(n))
+    lap_rho = sum(D("rho", _d(n, a, a)) for a in range(n))
+    stress.append(-(2 * p.mu * D(N, _d(n, N)) + (p.nu - p.mu) * div
+                    - gamma * D("rho", _d(n)) + p.kappa * lap_rho))
+    return stress, -D("rho", _d(n, N))
+
+
+def mode_derivative(xi, normal):
+    """D for fields held per tangential mode.
+
+    ``normal(which, k)`` gives the k-th normal derivative, broadcasting
+    against the frequencies ``xi``; each is asked for once.  Tangential
+    derivatives multiply it by i xi.
+    """
+    cache = {}
+
+    def D(which, orders):
+        key = (which, orders[-1])
+        if key not in cache:
+            cache[key] = normal(*key)
+        out = cache[key]
+        for axis, k in enumerate(orders[:-1]):
+            if k:
+                out = (1j * xi[axis]) ** k * out
+        return out
+
+    return D

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import GridMismatch, NeumannDiverged
 from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
-from .model import DerivedConstants, MaterialParams, Sector, derive_constants
+from .model import (DerivedConstants, MaterialParams, Sector, boundary_rows,
+                    derive_constants, interior_rows, mode_derivative)
 from .symbols import lam_axes
 from .wholespace import BoxGrid, solve_whole_hat
 
@@ -196,9 +197,11 @@ class _WholePart:
     def coeff(self, which):
         return self.rho_hat if which == "rho" else self.u_hat[which]
 
-    def trace_hat(self, coeff, orders):
-        """Tangential coefficients of a derivative at the boundary."""
-        hat = self._deriv_hat(coeff, orders)
+    def trace_hat(self, which, k):
+        """Tangential coefficients of the k-th normal derivative of 'rho'
+        or of a velocity component at the boundary."""
+        normal = (0,) * (self.geometry.dim - 1) + (k,)
+        hat = self._deriv_hat(self.coeff(which), normal)
         return (hat * self._trace_phase).sum(axis=-1)
 
 
@@ -209,7 +212,6 @@ class _CorrectorPart:
         self.geometry = geometry
         self.red = red
         self._x = geometry.normal_samples().x
-        self._dcache = {}
         self._channels = None
 
     def channel_values(self) -> dict:
@@ -218,24 +220,10 @@ class _CorrectorPart:
             self._channels = channel_table(self.red.roots, self._x)
         return self._channels
 
-    def _profile(self, base_key, prof, normal_order):
-        key = (base_key, normal_order)
-        if key not in self._dcache:
-            if normal_order == 0:
-                self._dcache[key] = prof
-            else:
-                lower = self._profile(base_key, prof, normal_order - 1)
-                self._dcache[key] = lower.derivative(self.red.roots)
-        return self._dcache[key]
-
     def normal_hat(self, which, normal_order):
         """(modes..., x) samples of a normal derivative of 'rho' or comp."""
-        if which == "rho":
-            prof = self._profile("rho", self.red.rho_prof, normal_order)
-        else:
-            prof = self._profile(("u", which), self.red.u_profs[which],
-                                 normal_order)
-        return prof.evaluate_with(self.channel_values(), self._x)
+        return self.red.profile(which, normal_order).evaluate_with(
+            self.channel_values(), self._x)
 
 
 @dataclass
@@ -372,42 +360,14 @@ def _orders(n, total):
 
 def correct_boundary_data_hat(data: FullData, whole: _WholePart,
                               p: MaterialParams):
-    """Boundary data minus the whole-space traces, as coefficients."""
-    geo = data.geometry
-    tan = geo.tangential
-    n = geo.dim
-    xi = tan.xi_mesh()
-    xi2 = tan.xi_sq()
-    zero = (0,) * n
-    d_norm = _unit(n, n - 1)
-
-    g_hat = tan.fft(data.g[..., 0])
-    h_hat = tan.fft(data.h[..., 0])
-
-    uN0 = whole.trace_hat(whole.u_hat[n - 1], zero)
-    duj0 = [whole.trace_hat(whole.u_hat[j], d_norm) for j in range(n)]
-    rho_d = whole.trace_hat(whole.rho_hat, d_norm)
-    div0 = sum(whole.trace_hat(whole.u_hat[j], _unit(n, j))
-               for j in range(n))
-    lap_rho0 = (whole.trace_hat(whole.rho_hat,
-                                tuple(2 * np.array(d_norm)))
-                - xi2 * whole.trace_hat(whole.rho_hat, zero))
-
-    g_t = np.stack([g_hat[j] + p.mu * (1j * xi[j] * uN0 + duj0[j])
-                    for j in range(n - 1)]
-                   + [g_hat[n - 1] + (2 * p.mu * duj0[n - 1]
-                                      + (p.nu - p.mu) * div0
-                                      + p.kappa * lap_rho0)])
-    h_t = h_hat + rho_d
-    return g_t, h_t
-
-
-def correct_boundary_data(data: FullData, whole: _WholePart, lam: complex,
-                          p: MaterialParams):
-    """Boundary data minus the whole-space traces, as physical fields."""
-    g_t, h_t = correct_boundary_data_hat(data, whole, p)
+    """Boundary data minus the boundary rows of the whole part, as
+    tangential coefficients."""
     tan = data.geometry.tangential
-    return tan.ifft(g_t), tan.ifft(h_t)
+    stress, neumann = boundary_rows(
+        mode_derivative(tan.xi_mesh(), whole.trace_hat), p,
+        data.geometry.dim, 0.0)
+    return (tan.fft(data.g[..., 0]) - np.stack(stress),
+            tan.fft(data.h[..., 0]) - neumann)
 
 
 def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
@@ -682,56 +642,22 @@ class FullResidual:
 def residual_full(sol: PipelineSolution, data: FullData,
                   gamma: float | None = None) -> FullResidual:
     """Max-norm residuals of all four rows with the gamma term included."""
-    geo = sol.geometry
     p = sol.params
     gamma = p.gamma if gamma is None else gamma
-    n = geo.dim
-    lam = sol.lam
-    zero = (0,) * n
-    d_norm = _unit(n, n - 1)
-
-    rho = sol.field("rho", zero)
-    div_u = sum(sol.field(j, _unit(n, j)) for j in range(n))
-    mass = np.abs(lam * rho + div_u - data.d)
-
-    lap = [tuple(2 * np.eye(n, dtype=int)[ax]) for ax in range(n)]
-    lap_rho = sum(sol.field("rho", o) for o in lap)
-    grad_div = [sum(sol.field(k, _add(_unit(n, k), _unit(n, j)))
-                    for k in range(n)) for j in range(n)]
-    grad_rho = [sol.field("rho", _unit(n, j)) for j in range(n)]
-    grad_lap_rho = [sum(sol.field("rho", _add(o, _unit(n, j))) for o in lap)
-                    for j in range(n)]
-    momentum = 0.0
-    for j in range(n):
-        lap_uj = sum(sol.field(j, o) for o in lap)
-        row = (lam * sol.field(j, zero) - p.mu * lap_uj
-               - p.nu * grad_div[j] + gamma * grad_rho[j]
-               - p.kappa * grad_lap_rho[j] - data.f[j])
-        momentum = max(momentum, float(np.max(np.abs(row))))
-
+    n = sol.geometry.dim
+    mass, momentum = interior_rows(sol.field, sol.lam, p, n, gamma)
     # boundary rows at the first normal sample
-    du = [sol.field(j, d_norm)[..., 0] for j in range(n)]
-    u0 = [sol.field(j, zero)[..., 0] for j in range(n)]
-    tan = geo.tangential
-    xi = tan.xi_mesh()
-    stress = 0.0
-    for j in range(n - 1):
-        dj_uN = tan.ifft(1j * xi[j] * tan.fft(u0[n - 1]))
-        row = -p.mu * (dj_uN + du[j]) - data.g[j][..., 0]
-        stress = max(stress, float(np.max(np.abs(row))))
-    row_n = -(2 * p.mu * du[n - 1] + (p.nu - p.mu) * div_u[..., 0]
-              - gamma * rho[..., 0] + p.kappa * lap_rho[..., 0]) \
-        - data.g[n - 1][..., 0]
-    stress = max(stress, float(np.max(np.abs(row_n))))
-    neumann = float(np.max(np.abs(-sol.field("rho", d_norm)[..., 0]
-                                  - data.h[..., 0])))
+    stress, neumann = boundary_rows(lambda w, o: sol.field(w, o)[..., 0],
+                                    p, n, gamma)
+
+    def worst(rows, rhs):
+        return max(float(np.max(np.abs(r - d))) for r, d in zip(rows, rhs))
 
     scale = max(float(np.max(np.abs(data.d))), float(np.max(np.abs(data.f))),
                 float(np.max(np.abs(data.g))), float(np.max(np.abs(data.h))),
                 1e-300)
-    return FullResidual(mass=float(np.max(mass)), momentum=momentum,
-                        stress=stress, neumann=neumann, data_scale=scale)
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return FullResidual(mass=worst([mass], [data.d]),
+                        momentum=worst(momentum, data.f),
+                        stress=worst(stress, data.g[..., 0]),
+                        neumann=worst([neumann], [data.h[..., 0]]),
+                        data_scale=scale)

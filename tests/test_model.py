@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korteweg.errors import EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient
-from korteweg.model import (MaterialParams, Sector, derive_constants,
-                            sector_contains, validate)
+from korteweg.model import (MaterialParams, Sector, boundary_rows,
+                            derive_constants, interior_rows, mode_derivative,
+                            validate)
+from korteweg.wholespace import (BoxGrid, WholeField, apply_lhs,
+                                 band_limited_field)
 
 positive = st.floats(min_value=1e-2, max_value=1e2)
 
@@ -93,10 +96,10 @@ def test_kappa_equals_mu_nu_is_root_coincidence():
 
 def test_sector_membership():
     sec = Sector(math.pi / 4, 0.5)
-    assert sector_contains(sec, 1.0)
-    assert not sector_contains(sec, -1.0)
-    assert not sector_contains(sec, 0.4j)
-    assert sector_contains(sec, 0.6j)
+    assert sec.contains(1.0)
+    assert not sec.contains(-1.0)
+    assert not sec.contains(0.4j)
+    assert sec.contains(0.6j)
 
 
 def test_sector_validation():
@@ -118,3 +121,72 @@ def test_params_json_round_trip():
         MaterialParams.from_json({"mu": 1, "nu": 1, "kappa": 2, "rho_ref": 2})
     with pytest.raises(ValueError):
         MaterialParams.from_json({"mu": float("nan"), "nu": 1, "kappa": 1})
+
+
+class TestOperatorRows:
+    """The one definition of the four rows, against independent forms."""
+
+    @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16)])
+    def test_interior_rows_match_whole_space_lhs(self, dim, m):
+        grid = BoxGrid(dim=dim, points_per_axis=m, period=20.0)
+        rng = np.random.default_rng(7)
+        p = MaterialParams(1.3, 0.7, 2.1)
+        lam = 3.0 + 2.0j
+        rho = band_limited_field(grid, rng, kmax=m // 4)
+        u = band_limited_field(grid, rng, kmax=m // 4, components=dim)
+        axes = tuple(range(1, dim + 1))
+        coeffs = {"rho": np.fft.fftn(rho)}
+        coeffs.update(enumerate(np.fft.fftn(u, axes=axes)))
+        mesh = grid.freq_mesh()
+
+        def D(which, orders):
+            hat = coeffs[which]
+            for axis, k in enumerate(orders):
+                hat = hat * (1j * mesh[axis]) ** k
+            return np.fft.ifftn(hat)
+
+        mass, momentum = interior_rows(D, lam, p, dim, 0.0)
+        mass_ref, momentum_ref = apply_lhs(WholeField(grid, rho, u), lam, p)
+        assert np.max(np.abs(mass - mass_ref)) \
+            <= 1e-13 * np.max(np.abs(mass_ref))
+        assert np.max(np.abs(np.stack(momentum) - momentum_ref)) \
+            <= 1e-13 * np.max(np.abs(momentum_ref))
+
+    def test_rows_of_one_mode_with_gamma(self):
+        # rho = A e^{-a x}, u_1 = B e^{-b x}, u_2 = C e^{-c x}, all times
+        # e^{i xi y}: d_y is i xi and d_x multiplies by minus the rate
+        p = MaterialParams(1.3, 0.7, 2.1, 0.4)
+        mu, nu, kappa, gamma = p.mu, p.nu, p.kappa, p.gamma
+        lam, xi = 3.0 + 2.0j, 1.7
+        A, B, C = 0.8 - 0.3j, -0.5 + 1.1j, 0.9 + 0.2j
+        a, b, c = 1.1 + 0.3j, 0.9, 1.6 - 0.4j
+        x = np.linspace(0.0, 2.0, 5)
+        Ea, Eb, Ec = np.exp(-a * x), np.exp(-b * x), np.exp(-c * x)
+        amp = {"rho": (A, a), 0: (B, b), 1: (C, c)}
+        D = mode_derivative(
+            (xi,), lambda w, k: amp[w][0] * (-amp[w][1]) ** k
+            * np.exp(-amp[w][1] * x))
+
+        mass, (mom1, mom2) = interior_rows(D, lam, p, 2, gamma)
+        (stress1, stress2), neumann = boundary_rows(D, p, 2, gamma)
+
+        expected = {
+            "mass": lam * A * Ea + 1j * xi * B * Eb - c * C * Ec,
+            "mom1": ((lam + (mu + nu) * xi ** 2 - mu * b ** 2) * B * Eb
+                     + 1j * nu * xi * c * C * Ec
+                     + 1j * xi * (gamma - kappa * (a ** 2 - xi ** 2))
+                     * A * Ea),
+            "mom2": ((lam + mu * xi ** 2 - (mu + nu) * c ** 2) * C * Ec
+                     + 1j * nu * xi * b * B * Eb
+                     + a * (kappa * (a ** 2 - xi ** 2) - gamma) * A * Ea),
+            "stress1": mu * b * B * Eb - 1j * mu * xi * C * Ec,
+            "stress2": ((mu + nu) * c * C * Ec
+                        - 1j * (nu - mu) * xi * B * Eb
+                        + (gamma - kappa * (a ** 2 - xi ** 2)) * A * Ea),
+            "neumann": a * A * Ea,
+        }
+        got = {"mass": mass, "mom1": mom1, "mom2": mom2,
+               "stress1": stress1, "stress2": stress2, "neumann": neumann}
+        for name, ref in expected.items():
+            assert np.max(np.abs(got[name] - ref)) \
+                <= 1e-13 * np.max(np.abs(ref)), name

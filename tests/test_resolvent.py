@@ -66,9 +66,10 @@ class TestBoundaryCorrection:
         data.f[:] = 0
         whole = rv._WholePart(GEO, np.zeros(GEO.box.shape, dtype=complex),
                               np.zeros((2,) + GEO.box.shape, dtype=complex))
-        g_t, h_t = rv.correct_boundary_data(data, whole, 5.0 + 1j, P)
-        assert np.allclose(g_t, data.g[..., 0], atol=1e-14)
-        assert np.allclose(h_t, data.h[..., 0], atol=1e-14)
+        g_t, h_t = rv.correct_boundary_data_hat(data, whole, P)
+        tan = GEO.tangential
+        assert np.allclose(g_t, tan.fft(data.g[..., 0]), atol=1e-14)
+        assert np.allclose(h_t, tan.fft(data.h[..., 0]), atol=1e-14)
 
     def test_correction_additive_in_interior_data(self):
         rng = np.random.default_rng(4)
@@ -77,9 +78,9 @@ class TestBoundaryCorrection:
         d2 = rv.random_full_data(GEO, rng)
         both = d1.combine(d2)
         sols = [rv.solve_gamma_zero(x, lam, P, DC) for x in (d1, d2, both)]
-        g1, h1 = rv.correct_boundary_data(d1, sols[0].whole, lam, P)
-        g2, h2 = rv.correct_boundary_data(d2, sols[1].whole, lam, P)
-        gb, hb = rv.correct_boundary_data(both, sols[2].whole, lam, P)
+        g1, h1 = rv.correct_boundary_data_hat(d1, sols[0].whole, P)
+        g2, h2 = rv.correct_boundary_data_hat(d2, sols[1].whole, P)
+        gb, hb = rv.correct_boundary_data_hat(both, sols[2].whole, P)
         assert np.allclose(gb, g1 + g2, atol=1e-12)
         assert np.allclose(hb, h1 + h2, atol=1e-12)
 
