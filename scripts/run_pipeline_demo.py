@@ -10,11 +10,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from korteweg.manufactured import (InteriorBump,  # noqa: E402
-                                   resolvent_rows_of_bump)
+                                   ManufacturedPair, manufactured_data,
+                                   manufactured_fields)
 from korteweg.model import MaterialParams  # noqa: E402
-from korteweg.resolvent import (FullData, HalfGeometry,  # noqa: E402
-                                auto_lambda0, contraction_probe,
-                                residual_full, solve_general)
+from korteweg.resolvent import (HalfGeometry, auto_lambda0,  # noqa: E402
+                                contraction_probe, residual_full,
+                                solve_general)
 
 
 def main():
@@ -24,18 +25,13 @@ def main():
     rng = np.random.default_rng(0)
     lam = 120.0 * np.exp(0.4j)
 
-    bump = InteriorBump.random(geo.tangential, rng, kmax=6)
-    x = geo.normal_samples().x
-    d_hat, f_hat, g_hat, h_hat = resolvent_rows_of_bump(bump, x, lam, p,
-                                                        gamma)
-    data = FullData(geometry=geo,
-                    d=np.fft.ifft(d_hat, axis=0),
-                    f=np.fft.ifft(f_hat, axis=1),
-                    g=np.fft.ifft(g_hat, axis=1),
-                    h=np.fft.ifft(h_hat, axis=0))
+    pair = ManufacturedPair(geo.tangential,
+                            InteriorBump.random(geo.tangential, rng, kmax=6),
+                            None)
+    data = manufactured_data(pair, geo, lam, p)
     sol, state = solve_general(data, lam, p)
     res = residual_full(sol, data)
-    rho_star = np.fft.ifft(bump.rho_derivatives(x, 0)[0], axis=0)
+    rho_star, _ = manufactured_fields(pair, geo)
     rec = np.max(np.abs(sol.rho() - rho_star)) / np.max(np.abs(rho_star))
     print(f"lambda = {lam:.4g}, gamma = {gamma}")
     print(f"iterations: {state.iterations}, "

@@ -5,8 +5,8 @@ estimates, boundary-system non-degeneracy, and R-bound estimates."""
 from .model import (DerivedConstants, MaterialParams, Sector,
                     derive_constants, validate)
 from .symbols import (FrakSymbols, Lopatinskii, RootSet, frak_symbols,
-                      kernel_M, kernel_M_derivative, lopatinskii,
-                      omega_lambda, roots_t, whole_space_symbol_P)
+                      kernel_M, lopatinskii, omega_lambda, roots_t,
+                      whole_space_symbol_P)
 from .certify import (Certificate, GridSpec, certify_multiplier,
                       empirical_sigma_star, scan_lower_bound,
                       symbol_registry)

@@ -13,7 +13,6 @@ xi' and a relative central difference for the lam d/dlam factor.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,10 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DerivativeStepUnderflow, EmptyGrid
-from .model import DerivedConstants, MaterialParams, Sector, derive_constants
+from .model import (DerivedConstants, MaterialParams, Sector, _orders,
+                    derive_constants)
 from .symbols import frak_symbols, lopatinskii, roots_t, whole_space_symbol_P
 
 SCAN_TARGETS = ("P", "l1", "l2", "re_omega", "re_t1", "re_t2", "detL")
+
+# relative radial step of the lam d/dlam difference
+LAM_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -134,31 +137,38 @@ def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
     return result
 
 
+# the sigma* bisection: its scan grid, the degeneration threshold relative
+# to the wide-angle constant, and the number of halvings
+SIGMA_STAR_GRID = GridSpec(24, 9, 24)
+SIGMA_STAR_FRAC = 1e-3
+SIGMA_STAR_BISECTIONS = 24
+
+
 def empirical_sigma_star(p: MaterialParams, target: str = "l1",
-                         grid: GridSpec | None = None, frac: float = 1e-3,
-                         n_bisect: int = 24,
                          dc: DerivedConstants | None = None) -> float:
     """Bisect the sector angle down to where the lower-bound scan degenerates.
 
     The true threshold angle comes from a compactness argument and is not
-    constructive; this reports the smallest sampled angle at which the
-    scan constant still exceeds ``frac`` times its wide-angle reference.
+    constructive; this reports the smallest sampled angle (on
+    SIGMA_STAR_GRID, after SIGMA_STAR_BISECTIONS halvings) at which the
+    scan constant still exceeds SIGMA_STAR_FRAC times its wide-angle
+    reference.
     """
     dc = derive_constants(p) if dc is None else dc
-    grid = grid or GridSpec(24, 9, 24)
     hi = math.pi / 2 - 1e-3
     lo = dc.sigma_w + 1e-4
-    c_ref = scan_lower_bound(target, Sector(hi, 0.0), grid, p, dc).constant
-    thresh = frac * c_ref
+    c_ref = scan_lower_bound(target, Sector(hi, 0.0), SIGMA_STAR_GRID, p,
+                             dc).constant
+    thresh = SIGMA_STAR_FRAC * c_ref
 
     def healthy(sigma):
-        return scan_lower_bound(target, Sector(sigma, 0.0), grid, p,
-                                dc).constant > thresh
+        return scan_lower_bound(target, Sector(sigma, 0.0), SIGMA_STAR_GRID,
+                                p, dc).constant > thresh
 
     if healthy(lo):
         return lo
     a, b = lo, hi
-    for _ in range(n_bisect):
+    for _ in range(SIGMA_STAR_BISECTIONS):
         mid = 0.5 * (a + b)
         if healthy(mid):
             b = mid
@@ -230,7 +240,7 @@ def _partial_xi(f, xi_vec, lam, alpha, h):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _lambda_dilation(f, rel_step: float = 1e-5):
+def _lambda_dilation(f):
     """Return the closure (xi, lam) -> lam d/dlam f, Richardson once."""
 
     def g(xi_vec, lam):
@@ -238,25 +248,15 @@ def _lambda_dilation(f, rel_step: float = 1e-5):
             return (f(xi_vec, lam * (1 + eps))
                     - f(xi_vec, lam * (1 - eps))) / (2 * eps)
 
-        return (4.0 * d(rel_step / 2) - d(rel_step)) / 3.0
+        return (4.0 * d(LAM_REL_STEP / 2) - d(LAM_REL_STEP)) / 3.0
 
     return g
-
-
-def _alphas(dim: int, max_alpha: int):
-    out = []
-    for total in range(max_alpha + 1):
-        for combo in itertools.product(range(total + 1), repeat=dim):
-            if sum(combo) == total:
-                out.append(combo)
-    return out
 
 
 def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
                        claimed_type: int, sector: Sector,
                        p: MaterialParams, grid: GridSpec | None = None,
-                       max_alpha: int = 2, dim: int = 1,
-                       lam_rel_step: float = 1e-5) -> Certificate:
+                       max_alpha: int = 2, dim: int = 1) -> Certificate:
     """Estimate the multiplier constant of a symbol closure on a grid.
 
     ``symbol`` takes (xi_vec, lam) with xi_vec of shape (dim, npts) and
@@ -277,8 +277,9 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
     worst = 0.0
     detail = {}
     for n in (0, 1):
-        f = symbol if n == 0 else _lambda_dilation(symbol, lam_rel_step)
-        for alpha in _alphas(dim, max_alpha):
+        f = symbol if n == 0 else _lambda_dilation(symbol)
+        for alpha in (o for total in range(max_alpha + 1)
+                      for o, _ in _orders(dim, total)):
             val = np.abs(_partial_xi(f, xi_vec, lam, alpha, h))
             na = sum(alpha)
             if claimed_type == 1:
@@ -345,7 +346,8 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
         "p1": (frak("p1"), 1.0, 1), "p2": (frak("p2"), 1.0, 1),
         "q1": (frak("q1"), 1.0, 1), "q2": (frak("q2"), 1.0, 1),
         "a": (frak("a"), 1.0, 1), "b": (frak("b"), 1.0, 1),
-        "r1": (frak("r1"), 0.0, 1), "r2": (frak("r2"), 0.0, 1),
+        "r1": (with_roots(lambda xi2, lam, r: r.r_frak(1)), 0.0, 1),
+        "r2": (with_roots(lambda xi2, lam, r: r.r_frak(2)), 0.0, 1),
         "l1": (frak("l1"), 6.0, 1), "l2": (frak("l2"), 6.0, 1),
         "l1_inv": (frak_inv("l1"), -6.0, 1),
         "l2_inv": (frak_inv("l2"), -6.0, 1),

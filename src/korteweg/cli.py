@@ -22,10 +22,11 @@ from .certify import (GridSpec, certify_multiplier, empirical_sigma_star,
                       scan_lower_bound, symbol_registry)
 from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
                      SingularLopatinskii)
-from .manufactured import InteriorBump, resolvent_rows_of_bump
+from .manufactured import (InteriorBump, ManufacturedPair, manufactured_data,
+                           manufactured_fields)
 from .model import MaterialParams, Sector, derive_constants, validate
-from .resolvent import (FullData, HalfGeometry, contraction_probe,
-                        residual_full, solve_general)
+from .resolvent import (HalfGeometry, contraction_probe, residual_full,
+                        solve_general)
 from .verification import FAMILIES, estimate_rbound
 from .wholespace import BoxGrid, band_limited_field, residual_whole, \
     solve_whole
@@ -213,20 +214,15 @@ def _run_solve(cfg: ScenarioConfig) -> int:
                                   "residual": res.to_json()})
         return EXIT_OK
     # solve-full: manufactured fixture, general solve, residual report
-    bump = InteriorBump.random(geo.tangential, rng, kmax=4)
-    x = geo.normal_samples().x
+    pair = ManufacturedPair(geo.tangential,
+                            InteriorBump.random(geo.tangential, rng, kmax=4),
+                            None)
     gamma = float(cfg.extra.get("gamma", cfg.params.gamma))
     params = replace(cfg.params, gamma=gamma)
-    d_hat, f_hat, g_hat, h_hat = resolvent_rows_of_bump(bump, x, lam,
-                                                        params, gamma)
-    data = FullData(geometry=geo,
-                    d=np.fft.ifft(d_hat, axis=0),
-                    f=np.fft.ifft(f_hat, axis=1),
-                    g=np.fft.ifft(g_hat, axis=1),
-                    h=np.fft.ifft(h_hat, axis=0))
+    data = manufactured_data(pair, geo, lam, params)
     sol, state = solve_general(data, lam, params, dc)
     res = residual_full(sol, data)
-    rho_star = np.fft.ifft(bump.rho_derivatives(x, 0)[0], axis=0)
+    rho_star, _ = manufactured_fields(pair, geo)
     rec = float(np.max(np.abs(sol.rho() - rho_star))
                 / np.max(np.abs(rho_star)))
     _emit(cfg, "solve_full", {"lambda": [lam.real, lam.imag],

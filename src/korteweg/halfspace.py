@@ -21,6 +21,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -429,7 +430,8 @@ class ReducedSolution:
 
     ``rho_prof`` and ``u_profs`` hold the production (eliminated-form)
     representation; the amplitude paths (``coefficients_direct``,
-    ``coefficients_closed_form``) are separate oracles.
+    ``coefficients_closed_form``) are separate oracles.  Samples at the
+    ``normal`` points all read one channel table, built on first use.
     """
 
     grid: TangentialGrid
@@ -457,17 +459,30 @@ class ReducedSolution:
             self._derivatives[key] = prof
         return self._derivatives[key]
 
+    @cached_property
+    def _table(self) -> dict:
+        return channel_table(self.roots, self.normal.x)
+
+    def sample(self, which, k: int = 0) -> np.ndarray:
+        """(modes..., x) samples of ``profile(which, k)`` at the normal
+        samples, against the one channel table of this solution."""
+        return self.profile(which, k).evaluate_with(self._table,
+                                                    self.normal.x)
+
+    def _hat(self, which, x):
+        if x is None:
+            return self.sample(which)
+        return self.profile(which).evaluate(self.roots, x)
+
     def rho_hat(self, x=None):
-        x = self.normal.x if x is None else x
-        return self.rho_prof.evaluate(self.roots, x)
+        return self._hat("rho", x)
 
     def rho(self, x=None):
         return self._ifft_profile(self.rho_hat(x))
 
     def u(self, x=None):
-        return np.stack([self._ifft_profile(prof.evaluate(self.roots, x
-                         if x is not None else self.normal.x))
-                         for prof in self.u_profs])
+        return np.stack([self._ifft_profile(self._hat(c, x))
+                         for c in range(self.n_components)])
 
     def _ifft_profile(self, arr):
         axes = tuple(range(-self.grid.dim_t - 1, -1))
@@ -542,13 +557,8 @@ def residual_reduced(sol: ReducedSolution, g_trace, h_trace) -> ReducedResidual:
     grid, p, x = sol.grid, sol.params, sol.normal.x
     n = sol.n_components
     xi = tuple(grid.xi_mesh())
-    table = channel_table(sol.roots, x)
-
-    def sampled(which, k):
-        return sol.profile(which, k).evaluate_with(table, x)
-
     mass, momentum = interior_rows(
-        mode_derivative(tuple(expand_modes(c, x) for c in xi), sampled),
+        mode_derivative(tuple(expand_modes(c, x) for c in xi), sol.sample),
         sol.lam, p, n, 0.0)
     # boundary rows, evaluated at x = 0 through the traces
     stress, neumann = boundary_rows(

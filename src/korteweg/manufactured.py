@@ -24,8 +24,14 @@ from .model import (DerivedConstants, MaterialParams, boundary_rows,
                     interior_rows, mode_derivative)
 from .symbols import roots_t
 
+# share of the lattice modes |k| <= kmax that random_mode_mask excites
+MODE_DENSITY = 0.6
+# normal centre and width of the interior-bump Gaussians
+BUMP_CENTER = 5.0
+BUMP_WIDTH = 0.8
 
-def random_mode_mask(grid: TangentialGrid, rng, kmax: int, density=0.6):
+
+def random_mode_mask(grid: TangentialGrid, rng, kmax: int):
     """Boolean lattice mask of excited tangential modes, |k| <= kmax."""
     m = grid.modes_per_axis
     k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
@@ -33,7 +39,7 @@ def random_mode_mask(grid: TangentialGrid, rng, kmax: int, density=0.6):
     inside = np.ones(grid.shape, dtype=bool)
     for comp in mesh:
         inside &= np.abs(comp) <= kmax
-    return inside & (rng.uniform(size=grid.shape) < density)
+    return inside & (rng.uniform(size=grid.shape) < MODE_DENSITY)
 
 
 def manufactured_boundary_modes(grid: TangentialGrid, lam: complex,
@@ -127,8 +133,7 @@ class InteriorBump:
     u_profile: GaussProfile
 
     @classmethod
-    def random(cls, grid: TangentialGrid, rng, kmax: int = 6,
-               center: float = 5.0, width: float = 0.8):
+    def random(cls, grid: TangentialGrid, rng, kmax: int = 6):
         n = grid.dim_t + 1
         mask = random_mode_mask(grid, rng, kmax)
 
@@ -136,14 +141,14 @@ class InteriorBump:
             z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             return np.where(mask, z, 0.0)
 
-        # both widths stay at or below `width` so every trace and every
+        # both widths stay at or below BUMP_WIDTH so every trace and every
         # low-order derivative at the boundary and at the box top sits at
-        # the exp(-(center/width)^2) floor: the even/zero extensions are
-        # then kink-free to roundoff
+        # the exp(-(BUMP_CENTER/BUMP_WIDTH)^2) floor: the even/zero
+        # extensions are then kink-free to roundoff
         return cls(grid=grid, rho_hat=draw(grid.shape),
                    u_hat=np.stack([draw(grid.shape) for _ in range(n)]),
-                   rho_profile=GaussProfile(center, width),
-                   u_profile=GaussProfile(center, width * 0.9))
+                   rho_profile=GaussProfile(BUMP_CENTER, BUMP_WIDTH),
+                   u_profile=GaussProfile(BUMP_CENTER, BUMP_WIDTH * 0.9))
 
     def rho_derivatives(self, x, orders: int = 3):
         """List over normal-derivative order of (modes..., x) arrays."""

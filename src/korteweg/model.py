@@ -18,6 +18,7 @@ arg((mu+nu)/(2 kappa) + i sqrt(|eta_w|)) otherwise.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +31,9 @@ from .errors import EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient
 # conditions are measure-zero; near-violations make the boundary symbols
 # ill-conditioned, so reject early.
 ZERO_TOL = 1e-13
+
+# relative distance Sector.sample keeps from the modulus floor and the rim
+SAMPLE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,12 @@ class Sector:
             return False
         return abs(cmath.phase(lam)) < math.pi - self.sigma
 
-    def sample(self, rng, n: int, lam_lo: float | None = None,
-               lam_hi: float = 1e4, margin: float = 1e-3):
+    def sample(self, rng, n: int, lam_hi: float = 1e4):
         """Draw n points log-uniform in modulus, uniform in admissible angle."""
-        lo = max(self.delta, 1e-6) if lam_lo is None else lam_lo
-        mod = np.exp(rng.uniform(np.log(lo * (1 + margin)), np.log(lam_hi), n))
-        amax = (math.pi - self.sigma) * (1 - margin)
+        lo = max(self.delta, 1e-6)
+        mod = np.exp(rng.uniform(np.log(lo * (1 + SAMPLE_MARGIN)),
+                                 np.log(lam_hi), n))
+        amax = (math.pi - self.sigma) * (1 - SAMPLE_MARGIN)
         ang = rng.uniform(-amax, amax, n)
         return mod * np.exp(1j * ang)
 
@@ -170,6 +174,20 @@ def derive_constants(p: MaterialParams) -> DerivedConstants:
 def _d(n: int, *axes) -> tuple:
     """Derivative count-vector of one derivative along each listed axis."""
     return tuple(axes.count(a) for a in range(n))
+
+
+def _orders(n: int, total: int):
+    """Each derivative count-vector of the given total order, once.
+
+    Yields (orders, root): root is the square root of the number of
+    ordered index tuples that give the same derivative.
+    """
+    for combo in itertools.product(range(total + 1), repeat=n):
+        if sum(combo) == total:
+            count = math.factorial(total)
+            for c in combo:
+                count //= math.factorial(c)
+            yield combo, math.sqrt(count)
 
 
 def interior_rows(D, lam, p: MaterialParams, n: int, gamma: float):

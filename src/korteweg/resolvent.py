@@ -14,8 +14,6 @@ finite difference.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +21,19 @@ import numpy as np
 from .errors import GridMismatch, NeumannDiverged
 from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
-from .model import (DerivedConstants, MaterialParams, Sector, boundary_rows,
-                    derive_constants, interior_rows, mode_derivative)
+from .model import (DerivedConstants, MaterialParams, Sector, _d, _orders,
+                    boundary_rows, derive_constants, interior_rows,
+                    mode_derivative)
 from .symbols import lam_axes
 from .wholespace import BoxGrid, solve_whole_hat
+
+# fixed-point budget of solve_general
+MAX_NEUMANN_ITER = 64
+# auto_lambda0: first modulus floor, the one-step ratio that counts as
+# contracting, and the number of doublings before giving up
+LAMBDA0_START = 0.5
+LAMBDA0_TARGET = 0.45
+LAMBDA0_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -205,27 +212,6 @@ class _WholePart:
         return (hat * self._trace_phase).sum(axis=-1)
 
 
-class _CorrectorPart:
-    """Reduced solution with derivative evaluation on the half grid."""
-
-    def __init__(self, geometry: HalfGeometry, red: ReducedSolution):
-        self.geometry = geometry
-        self.red = red
-        self._x = geometry.normal_samples().x
-        self._channels = None
-
-    def channel_values(self) -> dict:
-        if self._channels is None:
-            from .halfspace import channel_table
-            self._channels = channel_table(self.red.roots, self._x)
-        return self._channels
-
-    def normal_hat(self, which, normal_order):
-        """(modes..., x) samples of a normal derivative of 'rho' or comp."""
-        return self.red.profile(which, normal_order).evaluate_with(
-            self.channel_values(), self._x)
-
-
 @dataclass
 class PipelineSolution:
     """gamma = 0 solution: whole part plus corrector, with exact blocks.
@@ -237,9 +223,8 @@ class PipelineSolution:
     geometry: HalfGeometry
     lam: complex
     params: MaterialParams
-    dc: DerivedConstants
     whole: _WholePart
-    corrector: _CorrectorPart
+    corrector: ReducedSolution
     _cache: dict = field(default_factory=dict)
 
     def _field_batch(self, specs):
@@ -264,7 +249,7 @@ class PipelineSolution:
             [whole._deriv_hat(whole.coeff(which), normal + (k,))
              for which, k in slot]), axis=-1))
         for (which, k), i in slot.items():
-            base[i] += corr.normal_hat(which, k)
+            base[i] += corr.sample(which, k)
         xi = geo.tangential.xi_mesh()
         hats = np.empty((len(todo),) + base.shape[1:], dtype=complex)
         for i, (which, orders) in enumerate(todo):
@@ -295,7 +280,7 @@ class PipelineSolution:
 
     def grad_rho(self):
         n = self.geometry.dim
-        return np.stack([self.field("rho", _unit(n, ax)) for ax in range(n)])
+        return np.stack([self.field("rho", _d(n, ax)) for ax in range(n)])
 
     def _lam(self):
         return lam_axes(np.asarray(self.lam, dtype=complex),
@@ -338,26 +323,6 @@ class PipelineSolution:
         return float(np.sqrt(self.geometry.block_sq(blocks)))
 
 
-def _unit(n, axis):
-    o = [0] * n
-    o[axis] = 1
-    return tuple(o)
-
-
-def _orders(n, total):
-    """Each derivative count-vector of the given total order, once.
-
-    Yields (orders, root): root is the square root of the number of
-    ordered index tuples that give the same derivative.
-    """
-    for combo in itertools.product(range(total + 1), repeat=n):
-        if sum(combo) == total:
-            count = math.factorial(total)
-            for c in combo:
-                count //= math.factorial(c)
-            yield combo, math.sqrt(count)
-
-
 def correct_boundary_data_hat(data: FullData, whole: _WholePart,
                               p: MaterialParams):
     """Boundary data minus the boundary rows of the whole part, as
@@ -388,8 +353,8 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
     g_t, h_t = correct_boundary_data_hat(data, whole, p)
     red = solve_reduced_hat(g_t, h_t, lam, geo.tangential,
                             geo.normal_samples(), p, dc, sector=sector)
-    return PipelineSolution(geometry=geo, lam=lam, params=p, dc=dc,
-                            whole=whole, corrector=_CorrectorPart(geo, red))
+    return PipelineSolution(geometry=geo, lam=lam, params=p, whole=whole,
+                            corrector=red)
 
 
 def fx_norm(data: FullData, lam: complex) -> float:
@@ -496,8 +461,7 @@ def apply_G(data: FullData, lam: complex, p: MaterialParams,
 
 
 def solve_general(data: FullData, lam: complex, p: MaterialParams,
-                  dc: DerivedConstants | None = None, max_iter: int = 64,
-                  tol: float = 1e-10):
+                  dc: DerivedConstants | None = None, tol: float = 1e-10):
     """Resolvent solve with the pressure-gradient term, by fixed point.
 
     Iterates F <- F0 + G(lam) F; at the fixed point the gamma = 0 solve
@@ -516,7 +480,7 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     prev_increment = None
     ratios = []
     bad_streak = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEUMANN_ITER + 1):
         sol = solve_gamma_zero(current, lam, p, dc)
         gterm = apply_G(current, lam, p, dc, sol=sol)
         nxt = data.combine(gterm)
@@ -539,7 +503,8 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
             return final, NeumannState(iterations=it,
                                        increment_norm=increment,
                                        ratio_history=ratios)
-    raise NeumannDiverged(f"no convergence within {max_iter} iterations")
+    raise NeumannDiverged(
+        f"no convergence within {MAX_NEUMANN_ITER} iterations")
 
 
 def one_step_ratio(data: FullData, lam: complex, p: MaterialParams,
@@ -563,9 +528,7 @@ def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
     return rows
 
 
-def auto_lambda0(p: MaterialParams, geometry: HalfGeometry,
-                 start: float = 0.5, target: float = 0.45,
-                 max_doublings: int = 40, seed: int = 0,
+def auto_lambda0(p: MaterialParams, geometry: HalfGeometry, seed: int = 0,
                  dc: DerivedConstants | None = None) -> float:
     """Double the modulus floor until one G-application contracts.
 
@@ -575,9 +538,9 @@ def auto_lambda0(p: MaterialParams, geometry: HalfGeometry,
     dc = derive_constants(p) if dc is None else dc
     rng = np.random.default_rng(seed)
     data = random_full_data(geometry, rng)
-    lam0 = start
-    for _ in range(max_doublings):
-        if one_step_ratio(data, complex(lam0), p, dc) <= target:
+    lam0 = LAMBDA0_START
+    for _ in range(LAMBDA0_DOUBLINGS):
+        if one_step_ratio(data, complex(lam0), p, dc) <= LAMBDA0_TARGET:
             return lam0
         lam0 *= 2.0
     raise NeumannDiverged("no contraction within the doubling budget")

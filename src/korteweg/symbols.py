@@ -163,17 +163,15 @@ class FrakSymbols:
     l2: np.ndarray | complex
     a: np.ndarray | complex
     b: np.ndarray | complex
-    r1: np.ndarray | complex
-    r2: np.ndarray | complex
 
 
 def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
                  roots: RootSet | None = None) -> FrakSymbols:
-    """Evaluate m_j, p_j, q_j, l_j, a, b, r_j via the polynomial forms.
+    """Evaluate m_j, p_j, q_j, l_j, a, b via the polynomial forms.
 
     lam and t2 - t1 have been eliminated from every expression; the only
-    divisions are by s2 - s1 (a nonzero constant) and t_j + omega (real
-    part bounded below on the sector).
+    division is by s2 - s1 (a nonzero constant).  The r_j symbols are
+    ``RootSet.r_frak``.
     """
     if roots is None:
         roots = roots_t(xi_prime_sq, lam, dc, mu=p.mu)
@@ -199,10 +197,8 @@ def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
                               - (s2 - mu_inv) * t1 * t2 * tsum))
     a = s1 * s2 * tsum / (s2 - s1)
     b = tsum / (s2 - s1)
-    r1 = (s1 - mu_inv) * tsum / ((s2 - s1) * (t1 + om))
-    r2 = (s2 - mu_inv) * tsum / ((s2 - s1) * (t2 + om))
     return FrakSymbols(m1=m1, m2=m2, p1=p1, p2=p2, q1=q1, q2=q2,
-                       l1=l1, l2=l2, a=a, b=b, r1=r1, r2=r2)
+                       l1=l1, l2=l2, a=a, b=b)
 
 
 def frak_m_quotient(j, xi_prime_sq, lam, roots: RootSet):
@@ -274,18 +270,3 @@ def kernel_M(j: int, x_n, roots: RootSet):
                                      expand_modes(t, x), x)
     return expand_modes(roots.r_frak(j), x) * core
 
-
-def kernel_M_derivative(j: int, x_n, roots: RootSet):
-    """d/dx_N of M_j via the exact recurrences (no numerical differencing).
-
-    dM_0 = -t2 M_0 - e^{-t1 x};  dM_j = -t_j M_j - r_j e^{-omega x}.
-    """
-    x = np.asarray(x_n, dtype=float)
-    m = kernel_M(j, x, roots)
-    if j == 0:
-        return (-expand_modes(roots.t2, x) * m
-                - np.exp(-expand_modes(roots.t1, x) * x))
-    t = roots.t1 if j == 1 else roots.t2
-    return (-expand_modes(t, x) * m
-            - expand_modes(roots.r_frak(j), x)
-            * np.exp(-expand_modes(roots.omega, x) * x))

@@ -177,49 +177,6 @@ def residual_whole(sol: WholeField, d, f, lam: complex,
         row_l2=(l2_norm(grid, r1), l2_norm(grid, r2)))
 
 
-def derivative_families(sol: WholeField, lam: complex):
-    """The weighted derivative tuples of the solution.
-
-    S: (third gradient of rho, lam^{1/2} second gradient, lam rho);
-    T: (second gradient of u, lam^{1/2} gradient, lam u).
-    All derivatives spectral; lam^{1/2} is the principal root.
-    """
-    grid = sol.grid
-    n = grid.dim
-    mesh = grid.freq_mesh()
-    sqrt_lam = np.sqrt(complex(lam))
-    axes_u = tuple(range(1, n + 1))
-
-    rho_hat = np.fft.fftn(sol.rho)
-    u_hat = np.fft.fftn(sol.u, axes=axes_u)
-
-    grad3 = np.empty((n, n, n) + grid.shape, dtype=complex)
-    grad2 = np.empty((n, n) + grid.shape, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            grad2[j, k] = np.fft.ifftn(-mesh[j] * mesh[k] * rho_hat)
-            for m in range(n):
-                grad3[j, k, m] = np.fft.ifftn(
-                    -1j * mesh[j] * mesh[k] * mesh[m] * rho_hat)
-
-    ugrad2 = np.empty((n, n, n) + grid.shape, dtype=complex)
-    ugrad1 = np.empty((n, n) + grid.shape, dtype=complex)
-    for c in range(n):
-        for j in range(n):
-            ugrad1[c, j] = np.fft.ifftn(1j * mesh[j] * u_hat[c])
-            for k in range(n):
-                ugrad2[c, j, k] = np.fft.ifftn(-mesh[j] * mesh[k] * u_hat[c])
-
-    s_family = (grad3, sqrt_lam * grad2, lam * sol.rho)
-    t_family = (ugrad2, sqrt_lam * ugrad1, lam * sol.u)
-    return s_family, t_family
-
-
-def family_norm(grid: BoxGrid, family) -> float:
-    """Hilbert norm of a derivative tuple: RSS of the block L2 norms."""
-    return float(np.sqrt(sum(l2_norm(grid, block) ** 2 for block in family)))
-
-
 def band_limited_field(grid: BoxGrid, rng, kmax: int, components: int = 0):
     """Random smooth field with lattice support |k_i| <= kmax per axis."""
     m = grid.points_per_axis

@@ -125,8 +125,27 @@ class TestGammaZeroPipeline:
         red = solve_reduced_hat(tan.fft(data.g[..., 0]),
                                 tan.fft(data.h[..., 0]), lam, tan,
                                 GEO.normal_samples(), P, DC)
-        assert np.array_equal(sol.corrector.red.rho_hat(), red.rho_hat())
+        assert np.array_equal(sol.corrector.rho_hat(), red.rho_hat())
         assert np.max(np.abs(sol.rho() - red.rho())) < 1e-17
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_corrector_samples_are_profile_values(self, dim):
+        # every normal derivative the blocks and residuals read from the
+        # corrector's one channel table equals a fresh evaluation of its
+        # profile, bit for bit
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=16, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(12))
+        sol = rv.solve_gamma_zero(data, 30.0 * np.exp(0.8j), P, DC)
+        sol.s_blocks()
+        sol.t_blocks()
+        rv.residual_full(sol, data)
+        asked = {(which, orders[-1]) for which, orders in sol._cache}
+        assert asked == ({("rho", k) for k in range(4)}
+                         | {(c, k) for c in range(dim) for k in range(3)})
+        red = sol.corrector
+        for which, k in asked:
+            want = red.profile(which, k).evaluate(red.roots, red.normal.x)
+            assert np.array_equal(red.sample(which, k), want)
 
 
 class TestGammaPerturbation:
