@@ -12,9 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from korteweg.certify import (GridSpec, certify_multiplier,  # noqa: E402
-                              empirical_sigma_star, symbol_registry)
-from korteweg.model import MaterialParams, Sector, derive_constants  # noqa: E402
+from korteweg.certify import certify_registry  # noqa: E402
+from korteweg.model import MaterialParams  # noqa: E402
 
 
 def main():
@@ -22,18 +21,12 @@ def main():
         p = MaterialParams.from_json(json.loads(sys.argv[1]))
     else:
         p = MaterialParams(1.0, 1.0, 2.0)
-    dc = derive_constants(p)
-    sigma_star = empirical_sigma_star(p, "l1", dc=dc)
-    sec = Sector(min(sigma_star + 0.1, 1.45), 0.0)
+    sigma_star, sec, certs = certify_registry(p)
     print(f"certifying at sigma = {sec.sigma:.4f} "
           f"(empirical sigma* = {sigma_star:.4f})")
-    reg = symbol_registry(p, dc)
-    grid = GridSpec(20, 7, 20)
-    for name in sorted(reg):
-        fn, order, typ = reg[name]
-        cert = certify_multiplier(fn, name, order, typ, sec, p, grid=grid)
-        print(f"{name:<12} order {order:+5.1f} type {typ}  "
-              f"C = {cert.estimated_constant:.4g}")
+    for cert in certs:
+        print(f"{cert.symbol_id:<12} order {cert.claimed_order:+5.1f} "
+              f"type {cert.claimed_type}  C = {cert.estimated_constant:.4g}")
 
 
 if __name__ == "__main__":

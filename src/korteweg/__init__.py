@@ -8,8 +8,8 @@ from .symbols import (FrakSymbols, Lopatinskii, RootSet, frak_symbols,
                       kernel_M, lopatinskii, omega_lambda, roots_t,
                       whole_space_symbol_P)
 from .certify import (Certificate, GridSpec, certify_multiplier,
-                      empirical_sigma_star, scan_lower_bound,
-                      symbol_registry)
+                      certify_registry, empirical_sigma_star,
+                      scan_lower_bound, symbol_registry)
 from .wholespace import (BoxGrid, WholeField, residual_whole, solve_whole)
 from .halfspace import (ModeSolution, NormalSamples, TangentialGrid,
                         coefficients_closed_form, coefficients_direct,

@@ -22,7 +22,9 @@ import numpy as np
 from .errors import DerivativeStepUnderflow, EmptyGrid
 from .model import (DerivedConstants, MaterialParams, Sector, _orders,
                     derive_constants)
-from .symbols import frak_symbols, lopatinskii, roots_t, whole_space_symbol_P
+from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
+                      lopatinskii, omega_lambda, roots_t, t_root,
+                      whole_space_symbol_P)
 
 SCAN_TARGETS = ("P", "l1", "l2", "re_omega", "re_t1", "re_t2", "detL")
 
@@ -101,8 +103,8 @@ def _scan_values(target: str, xi, lam, p: MaterialParams,
     if target == "re_t2":
         return roots.t2.real / denom
     if target in ("l1", "l2"):
-        fr = frak_symbols(xi2, lam, dc, p, roots)
-        val = fr.l1 if target == "l1" else fr.l2
+        val = frak_l(int(target[1]), xi2, lam, roots.omega, roots.t1,
+                     roots.t2, dc, p)
         return np.abs(val) / denom ** 6
     if target == "detL":
         # report through the factorization: |detL| t1 |t1+omega| /
@@ -295,37 +297,78 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
                        max_alpha=max_alpha, detail=detail)
 
 
+def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
+                     names=None, grid: GridSpec | None = None,
+                     max_alpha: int = 2):
+    """Certify registry symbols at sigma = empirical sigma* + 0.1.
+
+    The angle is capped at 1.45 to stay inside (0, pi/2).  ``names``
+    defaults to the whole registry in sorted order.  Returns
+    (sigma_star, sector, certificates).
+    """
+    dc = derive_constants(p) if dc is None else dc
+    sigma_star = empirical_sigma_star(p, "l1", dc=dc)
+    sec = Sector(min(sigma_star + 0.1, 1.45), 0.0)
+    reg = symbol_registry(p, dc)
+    certs = []
+    for name in names or sorted(reg):
+        fn, order, typ = reg[name]
+        certs.append(certify_multiplier(fn, name, order, typ, sec, p,
+                                        grid=grid, max_alpha=max_alpha))
+    return sigma_star, sec, certs
+
+
 def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     """Closures for every certifiable symbol, keyed by id.
 
     Values are (closure, claimed_order, claimed_type).  Closures accept
-    (xi_vec, lam) and tolerate array lam; roots are evaluated without the
-    branch-cut check because finite-difference stencils may momentarily
-    leave the open sector at its rim.
+    (xi_vec, lam) and tolerate array lam.  Each evaluates only the
+    exponents its symbol reads and then that symbol's one formula; the
+    exponents are evaluated without the branch-cut check because
+    finite-difference stencils may momentarily leave the open sector at
+    its rim.
     """
     dc = derive_constants(p) if dc is None else dc
 
-    def with_roots(fn):
+    def of_xi_sq(fn):
         def closure(xi_vec, lam):
-            xi2 = np.sum(np.asarray(xi_vec) ** 2, axis=0)
-            roots = roots_t(xi2, lam, dc, p.mu, check=False)
-            return fn(xi2, lam, roots)
+            return fn(np.sum(np.asarray(xi_vec) ** 2, axis=0), lam)
 
         return closure
 
-    def frak(name):
-        def fn(xi2, lam, roots):
-            fr = frak_symbols(xi2, lam, dc, p, roots)
-            return getattr(fr, name)
+    def om(xi2, lam):
+        return omega_lambda(xi2, lam, p.mu, check=False)
 
-        return with_roots(fn)
+    def t(j, xi2, lam):
+        return t_root(j, xi2, lam, dc, check=False)
 
-    def frak_inv(name):
-        def fn(xi2, lam, roots):
-            fr = frak_symbols(xi2, lam, dc, p, roots)
-            return 1.0 / getattr(fr, name)
+    def ab(formula):
+        return of_xi_sq(lambda xi2, lam: formula(t(1, xi2, lam),
+                                                 t(2, xi2, lam), dc))
 
-        return with_roots(fn)
+    def indexed(j):
+        def l_j(xi2, lam):
+            return frak_l(j, xi2, lam, om(xi2, lam), t(1, xi2, lam),
+                          t(2, xi2, lam), dc, p)
+
+        def pq(formula):
+            return of_xi_sq(lambda xi2, lam: formula(j, om(xi2, lam),
+                                                     t(j, xi2, lam), dc, p))
+
+        return {
+            f"t{j}": (of_xi_sq(lambda xi2, lam: t(j, xi2, lam)), 1.0, 1),
+            f"t{j}+omega": (of_xi_sq(lambda xi2, lam: t(j, xi2, lam)
+                                     + om(xi2, lam)), 1.0, 1),
+            f"m{j}": (of_xi_sq(lambda xi2, lam: frak_m(
+                j, xi2, lam, om(xi2, lam), t(j, xi2, lam), dc, p)), 3.0, 1),
+            f"p{j}": (pq(frak_p), 1.0, 1),
+            f"q{j}": (pq(frak_q), 1.0, 1),
+            f"r{j}": (of_xi_sq(lambda xi2, lam: roots_t(
+                xi2, lam, dc, p.mu, check=False).r_frak(j)), 0.0, 1),
+            f"l{j}": (of_xi_sq(l_j), 6.0, 1),
+            f"l{j}_inv": (of_xi_sq(lambda xi2, lam: 1.0 / l_j(xi2, lam)),
+                          -6.0, 1),
+        }
 
     reg = {
         "xi_j": (lambda xi_vec, lam: xi_vec[0] + 0.0 * lam, 1.0, 1),
@@ -338,21 +381,10 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
                         xi_vec[0] / np.sqrt(np.sum(np.asarray(xi_vec) ** 2,
                                                    axis=0)) + 0.0 * lam,
                         0.0, 2),
-        "t1": (with_roots(lambda xi2, lam, r: r.t1), 1.0, 1),
-        "t2": (with_roots(lambda xi2, lam, r: r.t2), 1.0, 1),
-        "t1+omega": (with_roots(lambda xi2, lam, r: r.t1 + r.omega), 1.0, 1),
-        "t2+omega": (with_roots(lambda xi2, lam, r: r.t2 + r.omega), 1.0, 1),
-        "m1": (frak("m1"), 3.0, 1), "m2": (frak("m2"), 3.0, 1),
-        "p1": (frak("p1"), 1.0, 1), "p2": (frak("p2"), 1.0, 1),
-        "q1": (frak("q1"), 1.0, 1), "q2": (frak("q2"), 1.0, 1),
-        "a": (frak("a"), 1.0, 1), "b": (frak("b"), 1.0, 1),
-        "r1": (with_roots(lambda xi2, lam, r: r.r_frak(1)), 0.0, 1),
-        "r2": (with_roots(lambda xi2, lam, r: r.r_frak(2)), 0.0, 1),
-        "l1": (frak("l1"), 6.0, 1), "l2": (frak("l2"), 6.0, 1),
-        "l1_inv": (frak_inv("l1"), -6.0, 1),
-        "l2_inv": (frak_inv("l2"), -6.0, 1),
+        **indexed(1), **indexed(2),
+        "a": (ab(frak_a), 1.0, 1), "b": (ab(frak_b), 1.0, 1),
     }
     for s in (-2, -1, 1, 2):
         reg[f"omega^{s}"] = (
-            with_roots(lambda xi2, lam, r, s=s: r.omega ** s), float(s), 1)
+            of_xi_sq(lambda xi2, lam, s=s: om(xi2, lam) ** s), float(s), 1)
     return reg

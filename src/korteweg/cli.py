@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .certify import (GridSpec, certify_multiplier, empirical_sigma_star,
-                      scan_lower_bound, symbol_registry)
+from .certify import (GridSpec, certify_registry, empirical_sigma_star,
+                      scan_lower_bound)
 from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
                      SingularLopatinskii)
 from .manufactured import (InteriorBump, ManufacturedPair, manufactured_data,
@@ -138,19 +138,12 @@ def _run_scan(cfg: ScenarioConfig) -> int:
                     n_theta=int(g.get("n_theta", 9)),
                     n_xi=int(g.get("n_xi", 40)))
     if target == "certificates":
-        sigma_star = empirical_sigma_star(cfg.params, "l1", dc=dc)
-        sec = Sector(min(sigma_star + 0.1, 1.45), 0.0)
-        reg = symbol_registry(cfg.params, dc)
-        names = cfg.extra.get("symbols") or sorted(reg)
-        certs = []
-        for name in names:
-            fn, order, typ = reg[name]
-            cert = certify_multiplier(fn, name, order, typ, sec, cfg.params,
-                                      max_alpha=int(cfg.extra.get(
-                                          "max_alpha", 2)))
-            certs.append(cert.to_json())
-        _emit(cfg, "certificates", {"sigma_star": sigma_star,
-                                    "certificates": certs})
+        sigma_star, _, certs = certify_registry(
+            cfg.params, dc, names=cfg.extra.get("symbols"),
+            max_alpha=int(cfg.extra.get("max_alpha", 2)))
+        _emit(cfg, "certificates", {
+            "sigma_star": sigma_star,
+            "certificates": [c.to_json() for c in certs]})
         return EXIT_OK
     sector = cfg.sector or Sector(dc.sigma_w + 0.2, 0.0)
     result, points = scan_lower_bound(target, sector, grid, cfg.params, dc,

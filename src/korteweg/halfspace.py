@@ -469,19 +469,14 @@ class ReducedSolution:
         return self.profile(which, k).evaluate_with(self._table,
                                                     self.normal.x)
 
-    def _hat(self, which, x):
-        if x is None:
-            return self.sample(which)
-        return self.profile(which).evaluate(self.roots, x)
+    def rho_hat(self):
+        return self.sample("rho")
 
-    def rho_hat(self, x=None):
-        return self._hat("rho", x)
+    def rho(self):
+        return self._ifft_profile(self.rho_hat())
 
-    def rho(self, x=None):
-        return self._ifft_profile(self.rho_hat(x))
-
-    def u(self, x=None):
-        return np.stack([self._ifft_profile(self._hat(c, x))
+    def u(self):
+        return np.stack([self._ifft_profile(self.sample(c))
                          for c in range(self.n_components)])
 
     def _ifft_profile(self, arr):

@@ -83,6 +83,10 @@ class DerivedConstants:
     s1: complex
     s2: complex
 
+    def s(self, j: int) -> complex:
+        """The branch root s_j, j = 1 or 2."""
+        return self.s1 if j == 1 else self.s2
+
 
 @dataclass(frozen=True)
 class Sector:

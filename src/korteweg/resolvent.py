@@ -27,8 +27,10 @@ from .model import (DerivedConstants, MaterialParams, Sector, _d, _orders,
 from .symbols import lam_axes
 from .wholespace import BoxGrid, solve_whole_hat
 
-# fixed-point budget of solve_general
+# fixed-point budget of solve_general, and its stopping threshold on the
+# increment relative to the data norm
 MAX_NEUMANN_ITER = 64
+NEUMANN_TOL = 1e-10
 # auto_lambda0: first modulus floor, the one-step ratio that counts as
 # contracting, and the number of doublings before giving up
 LAMBDA0_START = 0.5
@@ -461,7 +463,7 @@ def apply_G(data: FullData, lam: complex, p: MaterialParams,
 
 
 def solve_general(data: FullData, lam: complex, p: MaterialParams,
-                  dc: DerivedConstants | None = None, tol: float = 1e-10):
+                  dc: DerivedConstants | None = None):
     """Resolvent solve with the pressure-gradient term, by fixed point.
 
     Iterates F <- F0 + G(lam) F; at the fixed point the gamma = 0 solve
@@ -498,7 +500,7 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
                 bad_streak = 0
         prev_increment = increment
         current = nxt
-        if increment < tol * base_norm:
+        if increment < NEUMANN_TOL * base_norm:
             final = solve_gamma_zero(current, lam, p, dc)
             return final, NeumannState(iterations=it,
                                        increment_norm=increment,

@@ -7,9 +7,14 @@ Branch convention: principal square root throughout.  On the admissible
 sector the arguments stay off the closed negative real axis, which is
 checked (not assumed) by :func:`principal_sqrt`.
 
-The "frak" symbols are evaluated only through their eliminated polynomial
-forms; the raw quotient definitions divide by ``lam`` and implicitly by
-``t2 - t1`` and exist here solely as test oracles.
+Each exponent (omega, t_j) and each eliminated boundary symbol (m_j, p_j,
+q_j, l_j, a, b) is written once, the indexed ones with the index j as an
+argument, and reads only the exponents it needs.  ``frak_symbols`` composes
+them into the bundle the half-space solver reads; certification evaluates
+each symbol alone.  The "frak" symbols are evaluated only through their
+eliminated polynomial forms; the raw quotient definitions divide by
+``lam`` and implicitly by ``t2 - t1`` and exist here solely as test
+oracles.
 """
 
 from __future__ import annotations
@@ -41,9 +46,17 @@ def principal_sqrt(z, check: bool = True):
     return np.sqrt(z)
 
 
-def omega_lambda(xi_prime_sq, lam, mu: float):
+def omega_lambda(xi_prime_sq, lam, mu: float, check: bool = True):
     """omega = sqrt(|xi'|^2 + lam/mu), Re > 0 on the sector."""
-    return principal_sqrt(np.asarray(xi_prime_sq) + np.asarray(lam) / mu)
+    return principal_sqrt(np.asarray(xi_prime_sq) + np.asarray(lam) / mu,
+                          check)
+
+
+def t_root(j: int, xi_prime_sq, lam, dc: DerivedConstants,
+           check: bool = True):
+    """t_j = sqrt(|xi'|^2 + s_j lam), Re > 0 on the sector."""
+    return principal_sqrt(np.asarray(xi_prime_sq)
+                          + dc.s(j) * np.asarray(lam), check)
 
 
 @dataclass(frozen=True)
@@ -72,13 +85,11 @@ class RootSet:
 
 def roots_t(xi_prime_sq, lam, dc: DerivedConstants, mu: float,
             check: bool = True) -> RootSet:
-    """t_j = sqrt(|xi'|^2 + s_j lam) plus omega, bundled as a RootSet."""
-    xi_prime_sq = np.asarray(xi_prime_sq)
-    lam = np.asarray(lam)
-    t1 = principal_sqrt(xi_prime_sq + dc.s1 * lam, check)
-    t2 = principal_sqrt(xi_prime_sq + dc.s2 * lam, check)
-    om = principal_sqrt(xi_prime_sq + lam / mu, check)
-    return RootSet(omega=om, t1=t1, t2=t2, s1=dc.s1, s2=dc.s2, mu=mu)
+    """t_1, t_2 and omega, bundled as a RootSet."""
+    return RootSet(omega=omega_lambda(xi_prime_sq, lam, mu, check),
+                   t1=t_root(1, xi_prime_sq, lam, dc, check),
+                   t2=t_root(2, xi_prime_sq, lam, dc, check),
+                   s1=dc.s1, s2=dc.s2, mu=mu)
 
 
 def whole_space_symbol_P(xi_sq, lam, p: MaterialParams):
@@ -149,9 +160,55 @@ def lopatinskii(xi_prime_sq, lam, dc: DerivedConstants,
                        det_direct=det_direct, det_factored=det_factored)
 
 
+def frak_m(j: int, xi_prime_sq, lam, omega, t_j, dc: DerivedConstants,
+           p: MaterialParams):
+    """m_j = lam (t_j + omega) / mu^2 - 4 (s_j - 1/mu) |xi'|^2 omega."""
+    mu_inv = 1.0 / p.mu
+    return (mu_inv * mu_inv * np.asarray(lam) * (t_j + omega)
+            - 4.0 * (dc.s(j) - mu_inv) * np.asarray(xi_prime_sq) * omega)
+
+
+def frak_p(j: int, omega, t_j, dc: DerivedConstants, p: MaterialParams):
+    """p_j = (4 s_j - 3/mu) omega + t_j / mu."""
+    mu_inv = 1.0 / p.mu
+    return (4.0 * dc.s(j) - 3.0 * mu_inv) * omega + mu_inv * t_j
+
+
+def frak_q(j: int, omega, t_j, dc: DerivedConstants, p: MaterialParams):
+    """q_j = (2 s_j - 1/mu) omega + t_j / mu."""
+    mu_inv = 1.0 / p.mu
+    return (2.0 * dc.s(j) - mu_inv) * omega + mu_inv * t_j
+
+
+def frak_l(j: int, xi_prime_sq, lam, omega, t1, t2, dc: DerivedConstants,
+           p: MaterialParams):
+    """l_j = lam t_j (t_j + omega) (t2^2 + t2 t1 + t1^2 - |xi'|^2) / mu^2
+    + 4 omega |xi'|^2 (s_j t_j omega (t_j + omega)
+    - (s_j - 1/mu) t1 t2 (t2 + t1))."""
+    xi2 = np.asarray(xi_prime_sq)
+    mu_inv = 1.0 / p.mu
+    s_j = dc.s(j)
+    t_j = t1 if j == 1 else t2
+    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi2
+    return (mu_inv * mu_inv * np.asarray(lam) * t_j * (t_j + omega) * trip
+            + 4.0 * omega * xi2 * (s_j * t_j * omega * (t_j + omega)
+                                   - (s_j - mu_inv) * t1 * t2 * (t2 + t1)))
+
+
+def frak_a(t1, t2, dc: DerivedConstants):
+    """a = s1 s2 (t2 + t1) / (s2 - s1)."""
+    return dc.s1 * dc.s2 * (t2 + t1) / (dc.s2 - dc.s1)
+
+
+def frak_b(t1, t2, dc: DerivedConstants):
+    """b = (t2 + t1) / (s2 - s1)."""
+    return (t2 + t1) / (dc.s2 - dc.s1)
+
+
 @dataclass(frozen=True)
 class FrakSymbols:
-    """The eliminated boundary symbols at given modes (index 1 and 2)."""
+    """The eliminated boundary symbols at given modes (index 1 and 2):
+    the bundle the half-space solver reads."""
 
     m1: np.ndarray | complex
     m2: np.ndarray | complex
@@ -167,7 +224,7 @@ class FrakSymbols:
 
 def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
                  roots: RootSet | None = None) -> FrakSymbols:
-    """Evaluate m_j, p_j, q_j, l_j, a, b via the polynomial forms.
+    """Evaluate m_j, p_j, q_j, l_j (j = 1, 2), a and b from their formulas.
 
     lam and t2 - t1 have been eliminated from every expression; the only
     division is by s2 - s1 (a nonzero constant).  The r_j symbols are
@@ -176,29 +233,14 @@ def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
     if roots is None:
         roots = roots_t(xi_prime_sq, lam, dc, mu=p.mu)
     om, t1, t2 = roots.omega, roots.t1, roots.t2
-    xi2 = np.asarray(xi_prime_sq)
-    lam = np.asarray(lam)
-    s1, s2 = dc.s1, dc.s2
-    mu_inv = 1.0 / p.mu
-
-    m1 = mu_inv * mu_inv * lam * (t1 + om) - 4.0 * (s1 - mu_inv) * xi2 * om
-    m2 = mu_inv * mu_inv * lam * (t2 + om) - 4.0 * (s2 - mu_inv) * xi2 * om
-    p1 = (4.0 * s1 - 3.0 * mu_inv) * om + mu_inv * t1
-    p2 = (4.0 * s2 - 3.0 * mu_inv) * om + mu_inv * t2
-    q1 = (2.0 * s1 - mu_inv) * om + mu_inv * t1
-    q2 = (2.0 * s2 - mu_inv) * om + mu_inv * t2
-    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi2
-    tsum = t2 + t1
-    l1 = (mu_inv * mu_inv * lam * t1 * (t1 + om) * trip
-          + 4.0 * om * xi2 * (s1 * t1 * om * (t1 + om)
-                              - (s1 - mu_inv) * t1 * t2 * tsum))
-    l2 = (mu_inv * mu_inv * lam * t2 * (t2 + om) * trip
-          + 4.0 * om * xi2 * (s2 * t2 * om * (t2 + om)
-                              - (s2 - mu_inv) * t1 * t2 * tsum))
-    a = s1 * s2 * tsum / (s2 - s1)
-    b = tsum / (s2 - s1)
-    return FrakSymbols(m1=m1, m2=m2, p1=p1, p2=p2, q1=q1, q2=q2,
-                       l1=l1, l2=l2, a=a, b=b)
+    return FrakSymbols(
+        m1=frak_m(1, xi_prime_sq, lam, om, t1, dc, p),
+        m2=frak_m(2, xi_prime_sq, lam, om, t2, dc, p),
+        p1=frak_p(1, om, t1, dc, p), p2=frak_p(2, om, t2, dc, p),
+        q1=frak_q(1, om, t1, dc, p), q2=frak_q(2, om, t2, dc, p),
+        l1=frak_l(1, xi_prime_sq, lam, om, t1, t2, dc, p),
+        l2=frak_l(2, xi_prime_sq, lam, om, t1, t2, dc, p),
+        a=frak_a(t1, t2, dc), b=frak_b(t1, t2, dc))
 
 
 def frak_m_quotient(j, xi_prime_sq, lam, roots: RootSet):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from korteweg.certify import (Certificate, GridSpec, certify_multiplier,
-                              empirical_sigma_star, scan_lower_bound,
-                              symbol_registry)
+from korteweg import certify, symbols
+from korteweg.certify import (LAM_REL_STEP, Certificate, GridSpec,
+                              _step_sizes, certify_multiplier,
+                              certify_registry, empirical_sigma_star,
+                              scan_lower_bound, symbol_registry)
 from korteweg.errors import DerivativeStepUnderflow, EmptyGrid
 from korteweg.model import MaterialParams, Sector, derive_constants
 
@@ -106,7 +108,6 @@ class TestCertify:
         assert ty == 2 and np.isfinite(cert.estimated_constant)
 
     def test_step_underflow_guard(self):
-        from korteweg.certify import _step_sizes
         xi = np.array([[1.0]])
         lam = np.array([1.0 + 0j])
         h = _step_sizes(xi, lam)
@@ -127,3 +128,91 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_multiplier(lambda xi, lam: lam, "x", 1.0, 3,
                                self.sector(), P)
+
+
+# registry entries that read no exponent
+ELEMENTARY = {"xi_j", "sqrt_lambda", "xi_sq", "lambda", "xi_over_abs"}
+
+
+def bundle_value(name, roots, fr):
+    """The roots_t / frak_symbols quantity a registry entry certifies."""
+    if name.startswith("omega^"):
+        return roots.omega ** int(name[len("omega^"):])
+    if name.endswith("+omega"):
+        return getattr(roots, name[:2]) + roots.omega
+    if name.endswith("_inv"):
+        return 1.0 / getattr(fr, name[:2])
+    if name in ("t1", "t2"):
+        return getattr(roots, name)
+    if name in ("r1", "r2"):
+        return roots.r_frak(int(name[1]))
+    return getattr(fr, name)
+
+
+def stencil_points(sector, dim):
+    """Sector grid points (rim angles included) and the stencil points
+    around them: xi' offsets 0, +-h/2, +-h, +-2h times lam factors 1,
+    1 +- eps/2, 1 +- eps, as the nested differences of certify_multiplier
+    visit."""
+    xi, lam = GridSpec(8, 5, 8).points(sector)
+    xi_vec = np.zeros((dim, xi.size))
+    xi_vec[0] = xi
+    if dim == 2:
+        xi_vec[1] = 0.5 * xi
+    h = _step_sizes(xi_vec, lam)
+    xs, lams = [], []
+    for off in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+        for fac in (1.0, 1 + LAM_REL_STEP / 2, 1 - LAM_REL_STEP / 2,
+                    1 + LAM_REL_STEP, 1 - LAM_REL_STEP):
+            shifted = xi_vec.copy()
+            shifted[0] = shifted[0] + off * h
+            xs.append(shifted)
+            lams.append(lam * fac)
+    return np.concatenate(xs, axis=1), np.concatenate(lams)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [PARAM_SETS[0], PARAM_SETS[3]],
+                         ids=["eta<0", "eta>0"])
+def test_registry_matches_bundle_bit_for_bit(p, dim):
+    dc = derive_constants(p)
+    xi_vec, lam = stencil_points(Sector(dc.sigma_w + 0.05, 0.0), dim)
+    xi2 = np.sum(xi_vec ** 2, axis=0)
+    roots = symbols.roots_t(xi2, lam, dc, p.mu, check=False)
+    fr = symbols.frak_symbols(xi2, lam, dc, p, roots)
+    reg = symbol_registry(p, dc)
+    assert len(reg) - len(ELEMENTARY) == 22
+    for name, (fn, _, _) in reg.items():
+        if name not in ELEMENTARY:
+            assert np.array_equal(fn(xi_vec, lam),
+                                  bundle_value(name, roots, fr)), name
+
+
+def test_single_symbols_never_evaluate_the_bundle(monkeypatch):
+    def bundle(*args, **kwargs):
+        raise AssertionError("frak_symbols evaluated")
+
+    for module in (symbols, certify):
+        monkeypatch.setattr(module, "frak_symbols", bundle, raising=False)
+    reg = symbol_registry(P, DC)
+    sec = Sector(DC.sigma_w + 0.25, 0.0)
+    for name in ("p1", "l1_inv"):
+        fn, order, typ = reg[name]
+        cert = certify_multiplier(fn, name, order, typ, sec, P,
+                                  grid=GridSpec(6, 3, 6))
+        assert np.isfinite(cert.estimated_constant)
+    assert scan_lower_bound("l1", sec, GridSpec(6, 3, 6), P, DC).constant > 0
+
+
+def test_certify_registry_is_the_sigma_star_sweep():
+    sigma_star, sec, certs = certify_registry(P, DC, names=["p1", "t2"],
+                                              grid=GridSpec(6, 3, 6),
+                                              max_alpha=1)
+    assert sigma_star == empirical_sigma_star(P, "l1", dc=DC)
+    assert sec == Sector(min(sigma_star + 0.1, 1.45), 0.0)
+    reg = symbol_registry(P, DC)
+    for cert, name in zip(certs, ["p1", "t2"], strict=True):
+        fn, order, typ = reg[name]
+        want = certify_multiplier(fn, name, order, typ, sec, P,
+                                  grid=GridSpec(6, 3, 6), max_alpha=1)
+        assert cert == want
