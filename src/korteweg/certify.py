@@ -298,13 +298,13 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
 
 
 def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
-                     names=None, grid: GridSpec | None = None,
-                     max_alpha: int = 2):
+                     names=None, max_alpha: int = 2):
     """Certify registry symbols at sigma = empirical sigma* + 0.1.
 
     The angle is capped at 1.45 to stay inside (0, pi/2).  ``names``
-    defaults to the whole registry in sorted order.  Returns
-    (sigma_star, sector, certificates).
+    defaults to the whole registry in sorted order; the grid is
+    ``certify_multiplier``'s default.  Returns (sigma_star, sector,
+    certificates).
     """
     dc = derive_constants(p) if dc is None else dc
     sigma_star = empirical_sigma_star(p, "l1", dc=dc)
@@ -314,7 +314,7 @@ def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
     for name in names or sorted(reg):
         fn, order, typ = reg[name]
         certs.append(certify_multiplier(fn, name, order, typ, sec, p,
-                                        grid=grid, max_alpha=max_alpha))
+                                        max_alpha=max_alpha))
     return sigma_star, sec, certs
 
 
@@ -342,33 +342,9 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     def t(j, xi2, lam):
         return t_root(j, xi2, lam, dc, check=False)
 
-    def ab(formula):
-        return of_xi_sq(lambda xi2, lam: formula(t(1, xi2, lam),
-                                                 t(2, xi2, lam), dc))
-
-    def indexed(j):
-        def l_j(xi2, lam):
-            return frak_l(j, xi2, lam, om(xi2, lam), t(1, xi2, lam),
-                          t(2, xi2, lam), dc, p)
-
-        def pq(formula):
-            return of_xi_sq(lambda xi2, lam: formula(j, om(xi2, lam),
-                                                     t(j, xi2, lam), dc, p))
-
-        return {
-            f"t{j}": (of_xi_sq(lambda xi2, lam: t(j, xi2, lam)), 1.0, 1),
-            f"t{j}+omega": (of_xi_sq(lambda xi2, lam: t(j, xi2, lam)
-                                     + om(xi2, lam)), 1.0, 1),
-            f"m{j}": (of_xi_sq(lambda xi2, lam: frak_m(
-                j, xi2, lam, om(xi2, lam), t(j, xi2, lam), dc, p)), 3.0, 1),
-            f"p{j}": (pq(frak_p), 1.0, 1),
-            f"q{j}": (pq(frak_q), 1.0, 1),
-            f"r{j}": (of_xi_sq(lambda xi2, lam: roots_t(
-                xi2, lam, dc, p.mu, check=False).r_frak(j)), 0.0, 1),
-            f"l{j}": (of_xi_sq(l_j), 6.0, 1),
-            f"l{j}_inv": (of_xi_sq(lambda xi2, lam: 1.0 / l_j(xi2, lam)),
-                          -6.0, 1),
-        }
+    def l_j(j, xi2, lam):
+        return frak_l(j, xi2, lam, om(xi2, lam), t(1, xi2, lam),
+                      t(2, xi2, lam), dc, p)
 
     reg = {
         "xi_j": (lambda xi_vec, lam: xi_vec[0] + 0.0 * lam, 1.0, 1),
@@ -381,9 +357,28 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
                         xi_vec[0] / np.sqrt(np.sum(np.asarray(xi_vec) ** 2,
                                                    axis=0)) + 0.0 * lam,
                         0.0, 2),
-        **indexed(1), **indexed(2),
-        "a": (ab(frak_a), 1.0, 1), "b": (ab(frak_b), 1.0, 1),
     }
+    for j in (1, 2):
+        reg[f"t{j}"] = (of_xi_sq(lambda xi2, lam, j=j: t(j, xi2, lam)),
+                        1.0, 1)
+        reg[f"t{j}+omega"] = (of_xi_sq(lambda xi2, lam, j=j:
+                                       t(j, xi2, lam) + om(xi2, lam)), 1.0, 1)
+        reg[f"m{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_m(
+            j, xi2, lam, om(xi2, lam), t(j, xi2, lam), dc, p)), 3.0, 1)
+        reg[f"p{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_p(
+            j, om(xi2, lam), t(j, xi2, lam), dc, p)), 1.0, 1)
+        reg[f"q{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_q(
+            j, om(xi2, lam), t(j, xi2, lam), dc, p)), 1.0, 1)
+        reg[f"r{j}"] = (of_xi_sq(lambda xi2, lam, j=j: roots_t(
+            xi2, lam, dc, p.mu, check=False).r_frak(j)), 0.0, 1)
+        reg[f"l{j}"] = (of_xi_sq(lambda xi2, lam, j=j: l_j(j, xi2, lam)),
+                        6.0, 1)
+        reg[f"l{j}_inv"] = (of_xi_sq(lambda xi2, lam, j=j:
+                                     1.0 / l_j(j, xi2, lam)), -6.0, 1)
+    reg["a"] = (of_xi_sq(lambda xi2, lam: frak_a(
+        t(1, xi2, lam), t(2, xi2, lam), dc)), 1.0, 1)
+    reg["b"] = (of_xi_sq(lambda xi2, lam: frak_b(
+        t(1, xi2, lam), t(2, xi2, lam), dc)), 1.0, 1)
     for s in (-2, -1, 1, 2):
         reg[f"omega^{s}"] = (
             of_xi_sq(lambda xi2, lam, s=s: om(xi2, lam) ** s), float(s), 1)

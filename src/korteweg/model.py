@@ -36,6 +36,15 @@ ZERO_TOL = 1e-13
 SAMPLE_MARGIN = 1e-3
 
 
+def jth(j: int, first, second):
+    """``first`` for j = 1, ``second`` for j = 2; any other j is an error."""
+    if j == 1:
+        return first
+    if j == 2:
+        return second
+    raise ValueError(f"index j must be 1 or 2, got {j!r}")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Coefficients of the rescaled resolvent system (all immutable)."""
@@ -85,7 +94,7 @@ class DerivedConstants:
 
     def s(self, j: int) -> complex:
         """The branch root s_j, j = 1 or 2."""
-        return self.s1 if j == 1 else self.s2
+        return jth(j, self.s1, self.s2)
 
 
 @dataclass(frozen=True)

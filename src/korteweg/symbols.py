@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutHit
-from .model import DerivedConstants, MaterialParams
+from .model import DerivedConstants, MaterialParams, jth
 
 # Relative root-separation threshold below which the divided-difference
 # kernel forms switch to the quadrature path.
@@ -77,8 +77,8 @@ class RootSet:
 
     def r_frak(self, j: int):
         """r_j = (s_j - 1/mu)(t2 + t1) / ((s2 - s1)(t_j + omega))."""
-        s_j = self.s1 if j == 1 else self.s2
-        t_j = self.t1 if j == 1 else self.t2
+        s_j = jth(j, self.s1, self.s2)
+        t_j = jth(j, self.t1, self.t2)
         return ((s_j - 1.0 / self.mu) * (self.t2 + self.t1)
                 / ((self.s2 - self.s1) * (t_j + self.omega)))
 
@@ -188,7 +188,7 @@ def frak_l(j: int, xi_prime_sq, lam, omega, t1, t2, dc: DerivedConstants,
     xi2 = np.asarray(xi_prime_sq)
     mu_inv = 1.0 / p.mu
     s_j = dc.s(j)
-    t_j = t1 if j == 1 else t2
+    t_j = jth(j, t1, t2)
     trip = t2 * t2 + t2 * t1 + t1 * t1 - xi2
     return (mu_inv * mu_inv * np.asarray(lam) * t_j * (t_j + omega) * trip
             + 4.0 * omega * xi2 * (s_j * t_j * omega * (t_j + omega)
@@ -246,7 +246,7 @@ def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
 def frak_m_quotient(j, xi_prime_sq, lam, roots: RootSet):
     """Raw quotient form of m_j (test oracle; unstable near lam = 0)."""
     om = roots.omega
-    t = roots.t1 if j == 1 else roots.t2
+    t = jth(j, roots.t1, roots.t2)
     xi2 = np.asarray(xi_prime_sq)
     opx = om * om + xi2
     return (t + om) * (opx * opx - 4.0 * t * om * xi2) / np.asarray(lam)
@@ -307,7 +307,7 @@ def kernel_M(j: int, x_n, roots: RootSet):
     if j == 0:
         return stable_divided_difference(expand_modes(roots.t1, x),
                                          expand_modes(roots.t2, x), x)
-    t = roots.t1 if j == 1 else roots.t2
+    t = jth(j, roots.t1, roots.t2)
     core = stable_divided_difference(expand_modes(roots.omega, x),
                                      expand_modes(t, x), x)
     return expand_modes(roots.r_frak(j), x) * core

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from korteweg.errors import EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient
 from korteweg.model import (MaterialParams, Sector, boundary_rows,
-                            derive_constants, interior_rows, mode_derivative,
-                            validate)
+                            derive_constants, interior_rows, jth,
+                            mode_derivative, validate)
 from korteweg.wholespace import (BoxGrid, WholeField, apply_lhs,
                                  band_limited_field)
 
@@ -43,6 +43,16 @@ def test_derive_constants_real_case():
     assert dc.s2.real == pytest.approx(1.5 - math.sqrt(1.25), rel=1e-15)
     assert dc.s1.real > dc.s2.real > 0
     assert dc.s1 * dc.s2 == pytest.approx(1.0, rel=1e-14)
+
+
+def test_index_j_picks_the_branch_and_rejects_others():
+    dc = derive_constants(MaterialParams(1, 2, 1))
+    assert (dc.s(1), dc.s(2)) == (dc.s1, dc.s2)
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            jth(j, "first", "second")
+        with pytest.raises(ValueError):
+            dc.s(j)
 
 
 @settings(max_examples=200, deadline=None)
