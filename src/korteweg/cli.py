@@ -43,6 +43,9 @@ _CONFIG_KEYS = {"scenario", "params", "sector", "seed", "out", "format",
                 "grid", "lambda", "gamma", "target", "family", "trials",
                 "m_max", "points_per_axis", "height", "sigma", "delta",
                 "max_alpha", "symbols", "lambdas"}
+# scan keys read only by the certificate target, and only by the others
+_CERTIFICATE_KEYS = {"symbols", "max_alpha"}
+_SCAN_GRID_KEYS = {"grid", "sigma", "sector", "delta"}
 
 
 @dataclass
@@ -65,6 +68,13 @@ class ScenarioConfig:
         scenario = obj["scenario"]
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
+        if scenario == "scan":
+            target = obj.get("target", "l1")
+            ignored = set(obj) & (_SCAN_GRID_KEYS if target == "certificates"
+                                  else _CERTIFICATE_KEYS)
+            if ignored:
+                raise ValueError(f"keys {sorted(ignored)} have no effect "
+                                 f"on scan target {target!r}")
         raw_params = obj.get("params") or {}
         if raw_params:
             params = MaterialParams.from_json(raw_params)

@@ -49,8 +49,9 @@ class TangentialGrid:
         return (self.modes_per_axis,) * self.dim_t
 
     @property
-    def axes_range(self):
-        return tuple(range(-self.dim_t, 0))
+    def field_axes(self):
+        """The tangential axes of a half-space field (normal axis last)."""
+        return tuple(range(-self.dim_t - 1, -1))
 
     def xi_mesh(self):
         m = self.modes_per_axis
@@ -480,8 +481,7 @@ class ReducedSolution:
                          for c in range(self.n_components)])
 
     def _ifft_profile(self, arr):
-        axes = tuple(range(-self.grid.dim_t - 1, -1))
-        return np.fft.ifftn(arr, axes=axes)
+        return np.fft.ifftn(arr, axes=self.grid.field_axes)
 
 
 def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
@@ -562,17 +562,12 @@ def residual_reduced(sol: ReducedSolution, g_trace, h_trace) -> ReducedResidual:
     g_hat0 = grid.fft(np.asarray(g_trace, dtype=complex))
     h_hat0 = grid.fft(np.asarray(h_trace, dtype=complex))
 
-    def interior_max(rows):
-        return max(float(np.max(np.abs(sol._ifft_profile(r)))) for r in rows)
+    def worst(rows, ifft):
+        return max(float(np.max(np.abs(ifft(r)))) for r in rows)
 
     return ReducedResidual(
-        interior_mass=interior_max([mass]),
-        interior_momentum=interior_max(momentum),
-        boundary_stress=max(_phys_max(grid, r - g)
-                            for r, g in zip(stress, g_hat0)),
-        boundary_neumann=_phys_max(grid, neumann - h_hat0))
-
-
-def _phys_max(grid: TangentialGrid, mode_row) -> float:
-    return float(np.max(np.abs(np.fft.ifftn(mode_row,
-                                            axes=grid.axes_range))))
+        interior_mass=worst([mass], sol._ifft_profile),
+        interior_momentum=worst(momentum, sol._ifft_profile),
+        boundary_stress=worst([r - g for r, g in zip(stress, g_hat0)],
+                              grid.ifft),
+        boundary_neumann=worst([neumann - h_hat0], grid.ifft))

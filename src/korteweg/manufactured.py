@@ -259,10 +259,9 @@ def manufactured_data(pair: ManufacturedPair, geometry, lam: complex,
     x = geometry.normal_samples().x
     grid = geometry.tangential
     d, f, g, h = pair.data(x, lam, p, gamma)
-    axes = tuple(range(-grid.dim_t - 1, -1))
 
     def ifft(a):
-        return np.fft.ifftn(a, axes=axes)
+        return np.fft.ifftn(a, axes=grid.field_axes)
 
     return FullData(geometry=geometry, d=ifft(d), f=ifft(f), g=ifft(g),
                     h=ifft(h))
@@ -272,7 +271,7 @@ def manufactured_fields(pair: ManufacturedPair, geometry):
     """Physical (rho, u) samples of the pair on the pipeline half grid."""
     x = geometry.normal_samples().x
     rho, u = pair.fields(x)
-    axes = tuple(range(-geometry.tangential.dim_t - 1, -1))
+    axes = geometry.tangential.field_axes
     return np.fft.ifftn(rho, axes=axes), np.fft.ifftn(u, axes=axes)
 
 

@@ -36,6 +36,9 @@ NEUMANN_TOL = 1e-10
 LAMBDA0_START = 0.5
 LAMBDA0_TARGET = 0.45
 LAMBDA0_DOUBLINGS = 40
+# random_full_data: highest tangential and normal lattice mode drawn
+DATA_KMAX = 4
+DATA_K_NORMAL = 4
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,7 @@ class PipelineSolution:
                 if k:
                     hats[i] *= (1j * xi[axis][..., None]) ** k
         del base
-        fields = np.fft.ifftn(hats, axes=tuple(range(-geo.dim, -1)))
+        fields = np.fft.ifftn(hats, axes=geo.tangential.field_axes)
         for i, spec in enumerate(todo):
             self._cache[spec] = fields[i]
 
@@ -360,71 +363,58 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
 
 
 def fx_norm(data: FullData, lam: complex) -> float:
-    """The lam-weighted data norm: RSS of the listed blocks.
-
-    Blocks: d, f, grad g, lam^{1/2} g, second-gradient of h,
-    lam^{1/2} grad h, lam h.  Normal derivatives of the data fields are
-    evaluated spectrally on the even extension.
-    """
+    """The lam-weighted data norm: RSS of the blocks of ``data_blocks``."""
     return float(np.sqrt(data.geometry.block_sq(data_blocks(data, lam))))
 
 
 def data_blocks(data: FullData, lam: complex):
-    """The weighted data tuple as a list of arrays (lam may be a batch)."""
+    """The weighted data tuple as a list of arrays (lam may be a batch).
+
+    Blocks: d, f, grad g, |lam|^{1/2} g, second gradient of h,
+    |lam|^{1/2} grad h, lam h.  The derivatives are laid out as the
+    solution blocks are: each distinct one once, scaled by the root of
+    its multiplicity, so a block's norm is the full tensor's.
+    """
     geo = data.geometry
     lam = lam_axes(lam, geo.dim)
     sq = np.sqrt(np.abs(lam))
-    grads_g = _data_gradient(geo, data.g)
-    grads_h = _data_gradient(geo, data.h[None])[:, 0]
-    hess_h = _data_hessian(geo, data.h)
-    return [data.d, data.f, grads_g, sq * data.g, hess_h,
-            sq * grads_h, lam * data.h]
+    (grad_g,) = _derivative_blocks(geo, data.g, (1,))
+    hess_h, grad_h = _derivative_blocks(geo, data.h[None], (2, 1))
+    return [data.d, data.f, grad_g, sq * data.g, hess_h, sq * grad_h,
+            lam * data.h]
 
 
-def _data_gradient(geo: HalfGeometry, fields):
-    """Gradient of half-space data fields (components leading axis).
+def _derivative_blocks(geo: HalfGeometry, fields, totals):
+    """One block per total order: each distinct derivative of a stack of
+    half-space data fields (component axis first), rows scaled by the
+    root of their multiplicity.
 
-    Tangential derivatives are spectral on the half grid; the normal
-    derivative is spectral on the even extension (data generators keep
-    the extension smooth).
+    Normal derivatives are spectral on the even extension (the data
+    generators keep it smooth): one forward transform per field, one
+    inverse per normal order.  Tangential factors multiply the
+    tangential coefficients; pure-normal entries skip those transforms.
     """
-    tan = geo.tangential
-    xi = tan.xi_mesh()
-    n = geo.dim
-    out = np.empty((n,) + fields.shape, dtype=complex)
-    f_hat = tan.fft(fields)
-    for ax in range(n - 1):
-        out[ax] = tan.ifft(1j * xi[ax][..., None] * f_hat)
-    k_n = geo.box.freq_1d()
+    axes = geo.tangential.field_axes
+    xi = geo.tangential.xi_mesh()
+    k_n = 1j * geo.box.freq_1d()
     ext_hat = np.fft.fft(extend_even(geo, fields), axis=-1)
-    out[n - 1] = restrict(geo, np.fft.ifft(1j * k_n * ext_hat, axis=-1))
-    return out
+    normal = [fields] + [restrict(geo, np.fft.ifft(k_n ** k * ext_hat,
+                                                   axis=-1))
+                         for k in range(1, max(totals) + 1)]
+    hats = [np.fft.fftn(f, axes=axes) for f in normal[:-1]]
 
+    def entry(orders):
+        *tangential, k = orders
+        if not any(tangential):
+            return normal[k]
+        hat = hats[k]
+        for x, j in zip(xi, tangential):
+            if j:
+                hat = hat * (1j * x[..., None]) ** j
+        return np.fft.ifftn(hat, axes=axes)
 
-def _data_hessian(geo: HalfGeometry, scalar):
-    """Second derivatives of a scalar half-space data field.
-
-    Normal derivatives act on the even extension directly (never on the
-    odd first-derivative field, whose even extension would kink).
-    """
-    tan = geo.tangential
-    xi = tan.xi_mesh()
-    n = geo.dim
-    k_n = geo.box.freq_1d()
-    f_hat = tan.fft(scalar)
-    ext_hat = np.fft.fft(extend_even(geo, scalar), axis=-1)
-    d_norm = restrict(geo, np.fft.ifft(1j * k_n * ext_hat, axis=-1))
-    d_norm_hat = tan.fft(d_norm)
-    out = np.empty((n, n) + scalar.shape, dtype=complex)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            out[a, b] = tan.ifft(-xi[a][..., None] * xi[b][..., None]
-                                 * f_hat)
-        out[a, n - 1] = tan.ifft(1j * xi[a][..., None] * d_norm_hat)
-        out[n - 1, a] = out[a, n - 1]
-    out[n - 1, n - 1] = restrict(
-        geo, np.fft.ifft((1j * k_n) ** 2 * ext_hat, axis=-1))
-    return out
+    return [np.stack([root * entry(o) for o, root in _orders(geo.dim, t)])
+            for t in totals]
 
 
 @dataclass
@@ -548,13 +538,15 @@ def auto_lambda0(p: MaterialParams, geometry: HalfGeometry, seed: int = 0,
     raise NeumannDiverged("no contraction within the doubling budget")
 
 
-def random_full_data(geometry: HalfGeometry, rng, kmax: int = 4,
-                     k_normal: int = 4, batch: int | None = None) -> FullData:
+def random_full_data(geometry: HalfGeometry, rng,
+                     batch: int | None = None) -> FullData:
     """Random band-limited data whose extensions are kink-free.
 
     d, g, h are restrictions of normally-even box fields (so the spectral
     even-extension derivative in the data norm is exact); f is a
-    restriction of a generic band-limited box field.  With ``batch`` the
+    restriction of a generic band-limited box field.  The R-bound
+    estimates grow with DATA_KMAX: the data norm measures d in L2 only,
+    on which the solution operators are unbounded.  With ``batch`` the
     result carries one batch axis of that many data, drawn one datum after
     another exactly as by repeated unbatched calls.
     """
@@ -562,8 +554,8 @@ def random_full_data(geometry: HalfGeometry, rng, kmax: int = 4,
     n = geo.dim
     m = geo.points_per_axis
     k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    sel_t = np.where(np.abs(k) <= kmax)[0]
-    sel_n = np.where(np.abs(k) <= k_normal)[0]
+    sel_t = np.where(np.abs(k) <= DATA_KMAX)[0]
+    sel_n = np.where(np.abs(k) <= DATA_K_NORMAL)[0]
     idx = np.ix_(*([sel_t] * (n - 1) + [sel_n]))
     shape = tuple(len(s) for s in ([sel_t] * (n - 1) + [sel_n]))
     # per datum the fields d, f_1..f_n, g_1..g_n, h, in draw order

@@ -94,6 +94,21 @@ class TestScenarios:
         assert run_cli(["scan", "--config", str(cfg)]) == 2
         assert "invalid grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target,key,value", [
+        ("certificates", "grid", {"n_lambda": 4, "n_theta": 3, "n_xi": 4}),
+        ("certificates", "sigma", 1.2),
+        ("l1", "symbols", ["p1"]),
+        ("l2", "max_alpha", 1)])
+    def test_scan_key_without_effect_exit_2(self, tmp_path, capsys, target,
+                                            key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "scan", "target": target,
+            "params": {"mu": 1, "nu": 1, "kappa": 2}, key: value}))
+        assert run_cli(["scan", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and key in err
+
     def test_solve_full_report(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -6,7 +6,7 @@ import pytest
 from korteweg import halfspace as hs
 from korteweg.errors import (GridMismatch, LambdaOutsideSector,
                              NeumannDiverged, SingularLopatinskii)
-from korteweg.model import MaterialParams, derive_constants
+from korteweg.model import MaterialParams, _orders, derive_constants
 from korteweg import resolvent as rv
 from korteweg.halfspace import solve_reduced_hat
 from korteweg.manufactured import (ManufacturedPair, manufactured_data,
@@ -273,6 +273,66 @@ def test_fx_norm_block_composition():
         assert rv.fx_norm(only_h, lam) == pytest.approx(expect, rel=1e-12)
     # the lam h block eventually dominates: growth is asymptotically linear
     assert rv.fx_norm(only_h, 1e6) > 1e3 * rv.fx_norm(only_h, 1.0)
+
+
+class TestDataDerivatives:
+    """The data-norm derivatives against analytic and independent
+    references: tangential axes first, the normal axis last."""
+
+    K = 2 * 2 * np.pi / 20  # mode 2 on the period-20 box
+
+    @staticmethod
+    def sin_cos(geo):
+        """F = sin(k y_1) cos(k x_N) (times cos(k y_2) in 3-D), as the
+        phases of one sine per axis."""
+        y = np.arange(geo.points_per_axis) * geo.period / geo.points_per_axis
+        coords = [y] * (geo.dim - 1) + [geo.normal_samples().x]
+        phases = [0.0] + [np.pi / 2] * (geo.dim - 1)
+        return np.meshgrid(*coords, indexing="ij"), phases
+
+    def analytic(self, grid, phases, orders):
+        out = 1.0
+        for x, ph, k in zip(grid, phases, orders):
+            out = out * self.K ** k * np.sin(self.K * x + ph + k * np.pi / 2)
+        return out
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (2, 64), (3, 16), (3, 64)])
+    def test_sin_cos_gradient_and_hessian(self, dim, m):
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        grid, phases = self.sin_cos(geo)
+        data = rv.FullData.zeros(geo)
+        data.h = self.analytic(grid, phases, (0,) * dim) + 0j
+        blocks = rv.data_blocks(data, 1.0)
+        for block, total in ((blocks[4], 2), (blocks[5], 1)):
+            rows = list(_orders(dim, total))
+            assert block.shape == (len(rows), 1) + geo.half_shape
+            for got, (orders, root) in zip(block, rows):
+                ref = root * self.analytic(grid, phases, orders)
+                assert np.max(np.abs(got[0] - ref)) <= 1e-12
+
+    @staticmethod
+    def box_derivative(geo, h, counts):
+        """A derivative of h through the full-box transform of its even
+        extension, one ordered index tuple at a time."""
+        axes = tuple(range(-geo.dim, 0))
+        hat = np.fft.fftn(rv.extend_even(geo, h), axes=axes)
+        for mesh, k in zip(geo.box.freq_mesh(), counts):
+            hat = hat * (1j * mesh) ** k
+        return rv.restrict(geo, np.fft.ifftn(hat, axes=axes))
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_hessian_norm_is_full_tensor_norm(self, dim, m, batch):
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(25),
+                                   batch=batch)
+        n = geo.dim
+        got = np.sqrt(geo.block_sq([rv.data_blocks(data, 1.0)[4]]))
+        ref = np.sqrt(sum(
+            geo.block_sq([self.box_derivative(
+                geo, data.h, tuple(idx.count(a) for a in range(n)))])
+            for idx in itertools.product(range(n), repeat=2)))
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 def member(data, i):
