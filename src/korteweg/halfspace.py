@@ -20,7 +20,7 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -172,6 +172,12 @@ def channel_table(roots: RootSet, x) -> dict:
             "M0": kernel_M(0, x, roots),
             "M1": kernel_M(1, x, roots),
             "M2": kernel_M(2, x, roots)}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
 
 
 @dataclass
@@ -432,7 +438,8 @@ class ReducedSolution:
     ``rho_prof`` and ``u_profs`` hold the production (eliminated-form)
     representation; the amplitude paths (``coefficients_direct``,
     ``coefficients_closed_form``) are separate oracles.  Samples at the
-    ``normal`` points all read one channel table, built on first use.
+    ``normal`` points all read one channel table, built on first use or
+    adopted from a solution at the same lambda (``adopt_table``).
     """
 
     grid: TangentialGrid
@@ -463,6 +470,19 @@ class ReducedSolution:
     @cached_property
     def _table(self) -> dict:
         return channel_table(self.roots, self.normal.x)
+
+    def adopt_table(self, other: "ReducedSolution"):
+        """Sample against the channel table of ``other`` from now on.
+
+        The table reads only the exponents and the normal samples, so it
+        is shared only when those are bitwise equal; otherwise raises.
+        """
+        same = _same_bits(self.normal.x, other.normal.x) and all(
+            _same_bits(getattr(self.roots, f.name),
+                       getattr(other.roots, f.name)) for f in fields(RootSet))
+        if not same:
+            raise ValueError("channel table of other exponents or samples")
+        self.__dict__["_table"] = other._table
 
     def sample(self, which, k: int = 0) -> np.ndarray:
         """(modes..., x) samples of ``profile(which, k)`` at the normal

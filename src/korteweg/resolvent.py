@@ -458,7 +458,8 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
 
     Iterates F <- F0 + G(lam) F; at the fixed point the gamma = 0 solve
     of F solves the full system.  Raises NeumannDiverged after five
-    consecutive non-contracting steps.
+    consecutive non-contracting steps.  Every solve is at the same lam,
+    so all of them sample against the channel table of the first.
     """
     dc = derive_constants(p) if dc is None else dc
     if p.gamma == 0.0:
@@ -472,8 +473,13 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     prev_increment = None
     ratios = []
     bad_streak = 0
+    table_owner = None
     for it in range(1, MAX_NEUMANN_ITER + 1):
         sol = solve_gamma_zero(current, lam, p, dc)
+        if table_owner is None:
+            table_owner = sol.corrector
+        else:
+            sol.corrector.adopt_table(table_owner)
         gterm = apply_G(current, lam, p, dc, sol=sol)
         nxt = data.combine(gterm)
         increment = nxt.diff_norm(current, lam)
@@ -492,6 +498,7 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
         current = nxt
         if increment < NEUMANN_TOL * base_norm:
             final = solve_gamma_zero(current, lam, p, dc)
+            final.corrector.adopt_table(table_owner)
             return final, NeumannState(iterations=it,
                                        increment_norm=increment,
                                        ratio_history=ratios)
@@ -598,11 +605,14 @@ class FullResidual:
 
 def residual_full(sol: PipelineSolution, data: FullData,
                   gamma: float | None = None) -> FullResidual:
-    """Max-norm residuals of all four rows with the gamma term included."""
+    """Max-norm residuals of all four rows with the gamma term included.
+
+    For a batched solution each row is the maximum over the members.
+    """
     p = sol.params
     gamma = p.gamma if gamma is None else gamma
     n = sol.geometry.dim
-    mass, momentum = interior_rows(sol.field, sol.lam, p, n, gamma)
+    mass, momentum = interior_rows(sol.field, sol._lam(), p, n, gamma)
     # boundary rows at the first normal sample
     stress, neumann = boundary_rows(lambda w, o: sol.field(w, o)[..., 0],
                                     p, n, gamma)

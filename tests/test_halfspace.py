@@ -278,6 +278,24 @@ class TestSolveReduced:
         ib = [int(np.where(nb.x == v)[0][0]) for v in shared]
         assert np.max(np.abs(sa.rho() - sb.rho()[..., ib])) < 1e-12
 
+    def test_adopt_table_only_at_same_exponents_and_samples(self):
+        rng = np.random.default_rng(47)
+        lam = 8.0 + 5.0j
+        g, h = random_boundary_data(rng, GRID.shape[0])
+        owner = hs.solve_reduced(g, h, lam, GRID, NORMAL, P, DC)
+        same = hs.solve_reduced(2.0 * g, h, lam, GRID, NORMAL, P, DC)
+        own = same.rho_hat()
+        same.adopt_table(owner)
+        assert same._table is owner._table
+        assert np.array_equal(same.rho_hat(), own)
+        for other in (hs.solve_reduced(g, h, lam * (1 + 1e-15), GRID, NORMAL,
+                                       P, DC),
+                      hs.solve_reduced(g, h, lam, GRID,
+                                       hs.NormalSamples.chebyshev(65, 10.0),
+                                       P, DC)):
+            with pytest.raises(ValueError):
+                other.adopt_table(owner)
+
     def test_analytic_normal_derivative_vs_finite_difference(self):
         rng = np.random.default_rng(43)
         lam = 9.0 * np.exp(0.7j)

@@ -191,6 +191,37 @@ class TestGammaPerturbation:
         sol, _ = rv.solve_general(data, lam, params)
         assert rv.residual_full(sol, data).max_relative() < 1e-8
 
+    def test_one_channel_table_per_solve(self, monkeypatch):
+        # every iterate and the final solve share the first iterate's
+        # table, and sample from it what a fresh solve samples
+        geo = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(9))
+        p1 = MaterialParams(1, 1, 2, gamma=0.1)
+        builds, solves = [], []
+        table, solve = hs.channel_table, rv.solve_gamma_zero
+
+        def counted_table(*args):
+            builds.append(args)
+            return table(*args)
+
+        def recorded_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(hs, "channel_table", counted_table)
+        monkeypatch.setattr(rv, "solve_gamma_zero", recorded_solve)
+        sol, state = rv.solve_general(data, 100.0 + 0j, p1)
+        assert state.iterations == 3 and len(solves) == 4
+        assert len(builds) == 1
+
+        def outputs(s):
+            return list(s.s_blocks()) + list(s.t_blocks()) + [s.rho(), s.u()]
+
+        fresh = solve(*solves[-1])  # the final iterate, with its own table
+        for got, ref in zip(outputs(sol), outputs(fresh)):
+            assert np.array_equal(got, ref)
+        assert len(builds) == 2
+
     def test_divergence_detected(self):
         rng = np.random.default_rng(11)
         data = rv.random_full_data(GEO, rng)
@@ -362,6 +393,20 @@ class TestBatchedSolve:
                 assert got.shape == r.shape
                 err = np.max(np.abs(got - r))
                 assert err <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    def test_batched_residual_is_max_over_members(self, dim, m):
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(15),
+                                   batch=len(MIXED_LAMS))
+        batched = rv.residual_full(rv.solve_gamma_zero(data, MIXED_LAMS, P,
+                                                       DC), data).to_json()
+        singles = [rv.residual_full(rv.solve_gamma_zero(
+                       member(data, i), complex(lam), P, DC),
+                       member(data, i)).to_json()
+                   for i, lam in enumerate(MIXED_LAMS)]
+        for key, value in batched.items():
+            assert value == max(s[key] for s in singles)
 
     def test_batched_data_match_repeated_draws(self):
         geo = rv.HalfGeometry(dim=2, points_per_axis=16)
