@@ -12,7 +12,10 @@ public entry points only:
 * on the five acceptance parameter sets: sigma*, every scan target at
   two angles on the base and 2x-refined grid, and every registry
   certificate with its per-derivative detail;
-* the JSON of ``korteweg solve --kind full`` without its timestamp.
+* every ``korteweg`` scenario at small sizes (validate; scan l1 with its
+  CSV; certificates for p1 and l1; solve whole, half and full; rbound
+  T_B; probe as CSV), plus ``solve --kind full`` at 128^2: every file a
+  run writes, JSON reports without their timestamp, and its exit code.
 
 Arrays are hashed by dtype, shape and bytes; everything else by its
 sorted JSON, whose floats round-trip exactly.  To compare two checkouts,
@@ -123,17 +126,46 @@ def symbols():
                  [cert.to_json(), cert.detail])
 
 
-def cli_solve_full():
-    config = {"params": {"mu": 1, "nu": 1, "kappa": 2, "gamma": 0.1},
-              "lambda": [100.0, 10.0], "points_per_axis": 128}
+def cli_report(name, argv, config):
+    """Run one korteweg command with a config into a fresh directory and
+    digest its exit code and every file it writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        code = cli.main(["solve", "--kind", "full", "--config", str(path),
-                         "--seed", "3", "--out", tmp])
-        report = json.loads((Path(tmp) / "solve_full.json").read_text())
-    del report["timestamp"]
-    emit("cli/solve_full", [code, report])
+        out = Path(tmp) / "out"
+        code = cli.main(argv + ["--config", str(path), "--out", str(out)])
+        emit(f"cli/{name}/exit", code)
+        for f in sorted(out.iterdir()):
+            if f.suffix == ".json":
+                report = json.loads(f.read_text())
+                report.pop("timestamp", None)
+                emit(f"cli/{name}/{f.name}", report)
+            else:
+                emit(f"cli/{name}/{f.name}",
+                     np.frombuffer(f.read_bytes(), dtype=np.uint8))
+
+
+def cli_scenarios():
+    params = {"mu": 1, "nu": 1, "kappa": 2}
+    cli_report("validate", ["validate"], {"params": params})
+    cli_report("scan_l1", ["scan", "--format", "csv"], {
+        "target": "l1", "params": params,
+        "grid": {"n_lambda": 12, "n_theta": 5, "n_xi": 12}})
+    cli_report("certificates", ["scan", "--target", "certificates"], {
+        "params": params, "symbols": ["p1", "l1"]})
+    for kind, m in (("whole", 32), ("half", 16), ("full", 32)):
+        cli_report(f"solve_{kind}", ["solve", "--kind", kind, "--seed", "3"],
+                   {"params": dict(params, gamma=0.1),
+                    "lambda": [100.0, 10.0], "points_per_axis": m})
+    cli_report("solve_full_128", ["solve", "--kind", "full", "--seed", "3"],
+               {"params": dict(params, gamma=0.1), "lambda": [100.0, 10.0],
+                "points_per_axis": 128})
+    cli_report("rbound", ["rbound", "--family", "T_B"], {
+        "params": params, "trials": 4, "m_max": 3, "points_per_axis": 16,
+        "sigma": 1.2, "delta": 0.5})
+    cli_report("probe", ["probe", "--format", "csv"], {
+        "params": dict(params, gamma=0.2), "lambdas": [1.0, 100.0],
+        "points_per_axis": 16})
 
 
 def main():
@@ -141,7 +173,7 @@ def main():
     criterion_8()
     criterion_9()
     symbols()
-    cli_solve_full()
+    cli_scenarios()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 Subcommands: validate, scan, solve, rbound, probe.  A single JSON config
 document names the scenario; individual flags override config keys.
+``SCENARIOS`` lists the config keys each scenario reads; any other key is
+an invalid config, so every accepted key reaches the report.
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 I/O error.
 """
@@ -9,8 +11,10 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +26,7 @@ from .certify import (GridSpec, certify_registry, empirical_sigma_star,
                       scan_lower_bound)
 from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
                      SingularLopatinskii)
+from .halfspace import residual_reduced, solve_reduced
 from .manufactured import (InteriorBump, ManufacturedPair, manufactured_data,
                            manufactured_fields)
 from .model import MaterialParams, Sector, derive_constants, validate
@@ -36,64 +41,58 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-SCENARIOS = ("validate", "scan", "solve-whole", "solve-half", "solve-full",
-             "rbound", "probe-contraction")
-
-_CONFIG_KEYS = {"scenario", "params", "sector", "seed", "out", "format",
-                "grid", "lambda", "gamma", "target", "family", "trials",
-                "m_max", "points_per_axis", "height", "sigma", "delta",
-                "max_alpha", "symbols", "lambdas"}
-# scan keys read only by the certificate target, and only by the others
-_CERTIFICATE_KEYS = {"symbols", "max_alpha"}
-_SCAN_GRID_KEYS = {"grid", "sigma", "sector", "delta"}
+# config keys every scenario reads
+ALWAYS_READ = {"scenario", "params", "out"}
+# the SCENARIOS row of scan with target "certificates"; no config names it
+CERTIFICATES = "scan certificates"
 
 
 @dataclass
 class ScenarioConfig:
     scenario: str
     params: MaterialParams
-    sector: Sector | None = None
-    seed: int = 0
     out: str | None = None
-    fmt: str = "json"
     extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
-        unknown = set(obj) - _CONFIG_KEYS
+        known = ALWAYS_READ.union(*(keys for _, keys in SCENARIOS.values()))
+        unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in obj:
             raise ValueError("config requires a scenario")
         scenario = obj["scenario"]
-        if scenario not in SCENARIOS:
+        if scenario not in SCENARIOS or scenario == CERTIFICATES:
             raise ValueError(f"unknown scenario {scenario!r}")
-        if scenario == "scan":
-            target = obj.get("target", "l1")
-            ignored = set(obj) & (_SCAN_GRID_KEYS if target == "certificates"
-                                  else _CERTIFICATE_KEYS)
-            if ignored:
-                raise ValueError(f"keys {sorted(ignored)} have no effect "
-                                 f"on scan target {target!r}")
+        if scenario == "scan" and obj.get("target") == "certificates":
+            scenario = CERTIFICATES
+        reads = SCENARIOS[scenario][1]
+        ignored = set(obj) - reads - ALWAYS_READ
+        if ignored:
+            raise ValueError(f"keys {sorted(ignored)} have no effect "
+                             f"on {scenario}")
         raw_params = obj.get("params") or {}
         if raw_params:
             params = MaterialParams.from_json(raw_params)
         else:
             # reference parameter set for flag-only invocations
             params = MaterialParams(1.0, 1.0, 2.0)
-        sector = None
-        if "sigma" in obj or "sector" in obj:
-            sec = obj.get("sector", {})
-            sigma = float(obj.get("sigma", sec.get("sigma", 1.0)))
-            delta = float(obj.get("delta", sec.get("delta", 0.0)))
-            sector = Sector(sigma, delta)
-        extra = {k: obj[k] for k in obj
-                 if k in _CONFIG_KEYS - {"scenario", "params", "sector",
-                                         "seed", "out", "format", "sigma",
-                                         "delta"}}
-        return cls(scenario=scenario, params=params, sector=sector,
-                   seed=int(obj.get("seed", 0)), out=obj.get("out"),
-                   fmt=obj.get("format", "json"), extra=extra)
+        return cls(scenario=scenario, params=params, out=obj.get("out"),
+                   extra={k: obj[k] for k in obj if k in reads})
+
+    @property
+    def seed(self) -> int:
+        return int(self.extra.get("seed", 0))
+
+    @property
+    def fmt(self) -> str:
+        return self.extra.get("format", "json")
+
+    def sector(self, sigma: float, delta: float) -> Sector:
+        """The config's sector; a missing sigma or delta takes the default."""
+        return Sector(float(self.extra.get("sigma", sigma)),
+                      float(self.extra.get("delta", delta)))
 
 
 def _emit(cfg: ScenarioConfig, name: str, payload: dict):
@@ -147,15 +146,7 @@ def _run_scan(cfg: ScenarioConfig) -> int:
     grid = GridSpec(n_lambda=int(g.get("n_lambda", 40)),
                     n_theta=int(g.get("n_theta", 9)),
                     n_xi=int(g.get("n_xi", 40)))
-    if target == "certificates":
-        sigma_star, _, certs = certify_registry(
-            cfg.params, dc, names=cfg.extra.get("symbols"),
-            max_alpha=int(cfg.extra.get("max_alpha", 2)))
-        _emit(cfg, "certificates", {
-            "sigma_star": sigma_star,
-            "certificates": [c.to_json() for c in certs]})
-        return EXIT_OK
-    sector = cfg.sector or Sector(dc.sigma_w + 0.2, 0.0)
+    sector = cfg.sector(dc.sigma_w + 0.2, 0.0)
     result, points = scan_lower_bound(target, sector, grid, cfg.params, dc,
                                       return_points=True)
     refined = scan_lower_bound(target, sector, grid.refine(2), cfg.params, dc)
@@ -173,57 +164,81 @@ def _run_scan(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+def _run_certificates(cfg: ScenarioConfig) -> int:
+    sigma_star, _, certs = certify_registry(
+        cfg.params, names=cfg.extra.get("symbols"),
+        max_alpha=int(cfg.extra.get("max_alpha", 2)))
+    _emit(cfg, "certificates", {
+        "sigma_star": sigma_star,
+        "certificates": [c.to_json() for c in certs]})
+    return EXIT_OK
+
+
 def _lambda_of(cfg: ScenarioConfig) -> complex:
+    """The config's lambda, refused unless |arg lambda| < pi - sigma_w."""
     raw = cfg.extra.get("lambda", [100.0, 0.0])
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    return complex(raw[0], raw[1])
+    lam = complex(raw) if isinstance(raw, (int, float)) \
+        else complex(raw[0], raw[1])
+    rim = math.pi - derive_constants(cfg.params).sigma_w
+    if lam == 0 or abs(cmath.phase(lam)) >= rim:
+        raise ValueError(f"lambda {lam} must be nonzero with "
+                         f"|arg lambda| < pi - sigma_w = {rim:.6g}")
+    return lam
 
 
-def _run_solve(cfg: ScenarioConfig) -> int:
-    dc = derive_constants(cfg.params)
-    rng = np.random.default_rng(cfg.seed)
+def _solve_geometry(cfg: ScenarioConfig) -> HalfGeometry:
+    return HalfGeometry(dim=2,
+                        points_per_axis=int(cfg.extra.get("points_per_axis",
+                                                          128)),
+                        height=float(cfg.extra.get("height", 10.0)))
+
+
+def _run_solve_whole(cfg: ScenarioConfig) -> int:
     lam = _lambda_of(cfg)
-    kind = cfg.scenario
-    if kind == "solve-whole":
-        grid = BoxGrid(dim=2, points_per_axis=int(cfg.extra.get(
-            "points_per_axis", 128)))
-        d = band_limited_field(grid, rng, 8)
-        f = band_limited_field(grid, rng, 8, components=2)
-        sol = solve_whole(d, f, lam, cfg.params, grid)
-        rep = residual_whole(sol, d, f, lam, cfg.params)
-        _emit(cfg, "solve_whole", {"lambda": [lam.real, lam.imag],
-                                   "residual": rep.to_json()})
-        if cfg.out:
-            fieldio.save_field(Path(cfg.out) / "rho.bin", sol.rho,
-                               {"dim": 2, "M": grid.points_per_axis,
-                                "L": grid.period, "components": 1})
-        return EXIT_OK
-    geo = HalfGeometry(dim=2,
-                       points_per_axis=int(cfg.extra.get("points_per_axis",
-                                                         128)),
-                       height=float(cfg.extra.get("height", 10.0)))
-    if kind == "solve-half":
-        from .halfspace import residual_reduced, solve_reduced
-        tan = geo.tangential
-        g = (rng.standard_normal((2,) + tan.shape)
-             + 1j * rng.standard_normal((2,) + tan.shape))
-        h = (rng.standard_normal(tan.shape)
-             + 1j * rng.standard_normal(tan.shape))
-        red = solve_reduced(g, h, lam, tan, geo.normal_samples(),
-                            cfg.params, dc)
-        res = residual_reduced(red, g, h)
-        _emit(cfg, "solve_half", {"lambda": [lam.real, lam.imag],
-                                  "residual": res.to_json()})
-        return EXIT_OK
-    # solve-full: manufactured fixture, general solve, residual report
+    grid = BoxGrid(dim=2, points_per_axis=int(cfg.extra.get(
+        "points_per_axis", 128)))
+    rng = np.random.default_rng(cfg.seed)
+    d = band_limited_field(grid, rng, 8)
+    f = band_limited_field(grid, rng, 8, components=2)
+    sol = solve_whole(d, f, lam, cfg.params, grid)
+    rep = residual_whole(sol, d, f, lam, cfg.params)
+    _emit(cfg, "solve_whole", {"lambda": [lam.real, lam.imag],
+                               "residual": rep.to_json()})
+    if cfg.out:
+        fieldio.save_field(Path(cfg.out) / "rho.bin", sol.rho,
+                           {"dim": 2, "M": grid.points_per_axis,
+                            "L": grid.period, "components": 1})
+    return EXIT_OK
+
+
+def _run_solve_half(cfg: ScenarioConfig) -> int:
+    lam = _lambda_of(cfg)
+    geo = _solve_geometry(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    tan = geo.tangential
+    g = (rng.standard_normal((2,) + tan.shape)
+         + 1j * rng.standard_normal((2,) + tan.shape))
+    h = (rng.standard_normal(tan.shape)
+         + 1j * rng.standard_normal(tan.shape))
+    red = solve_reduced(g, h, lam, tan, geo.normal_samples(), cfg.params)
+    res = residual_reduced(red, g, h)
+    _emit(cfg, "solve_half", {"lambda": [lam.real, lam.imag],
+                              "residual": res.to_json()})
+    return EXIT_OK
+
+
+def _run_solve_full(cfg: ScenarioConfig) -> int:
+    """Manufactured fixture, general solve, residual report."""
+    lam = _lambda_of(cfg)
+    geo = _solve_geometry(cfg)
+    rng = np.random.default_rng(cfg.seed)
     pair = ManufacturedPair(geo.tangential,
                             InteriorBump.random(geo.tangential, rng, kmax=4),
                             None)
     gamma = float(cfg.extra.get("gamma", cfg.params.gamma))
     params = replace(cfg.params, gamma=gamma)
     data = manufactured_data(pair, geo, lam, params)
-    sol, state = solve_general(data, lam, params, dc)
+    sol, state = solve_general(data, lam, params)
     res = residual_full(sol, data)
     rho_star, _ = manufactured_fields(pair, geo)
     rec = float(np.max(np.abs(sol.rho() - rho_star))
@@ -239,7 +254,7 @@ def _run_solve(cfg: ScenarioConfig) -> int:
 
 def _run_rbound(cfg: ScenarioConfig) -> int:
     dc = derive_constants(cfg.params)
-    sector = cfg.sector or Sector(dc.sigma_w + 0.4, 0.5)
+    sector = cfg.sector(dc.sigma_w + 0.4, 0.5)
     geo = HalfGeometry(dim=2, points_per_axis=int(cfg.extra.get(
         "points_per_axis", 16)))
     fams = cfg.extra.get("family")
@@ -275,9 +290,27 @@ def _run_probe(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+# scenario -> (runner, the config keys it reads besides ALWAYS_READ)
+SCENARIOS = {
+    "validate": (_run_validate, set()),
+    "scan": (_run_scan, {"target", "grid", "sigma", "delta", "format"}),
+    CERTIFICATES: (_run_certificates, {"target", "symbols", "max_alpha"}),
+    "solve-whole": (_run_solve_whole, {"lambda", "points_per_axis", "seed"}),
+    "solve-half": (_run_solve_half,
+                   {"lambda", "points_per_axis", "height", "seed"}),
+    "solve-full": (_run_solve_full,
+                   {"lambda", "points_per_axis", "height", "gamma", "seed"}),
+    "rbound": (_run_rbound, {"sigma", "delta", "points_per_axis", "family",
+                             "trials", "m_max", "seed", "format"}),
+    "probe-contraction": (_run_probe,
+                          {"points_per_axis", "lambdas", "seed", "format"}),
+}
+
+
 def run(cfg: ScenarioConfig) -> int:
+    runner = SCENARIOS[cfg.scenario][0]
     if cfg.scenario == "validate":
-        return _run_validate(cfg)
+        return runner(cfg)
     verdict = validate(cfg.params)
     if not verdict.ok:
         print("inadmissible parameters: "
@@ -285,24 +318,25 @@ def run(cfg: ScenarioConfig) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if cfg.scenario == "scan":
-            return _run_scan(cfg)
-        if cfg.scenario.startswith("solve"):
-            return _run_solve(cfg)
-        if cfg.scenario == "rbound":
-            return _run_rbound(cfg)
-        if cfg.scenario == "probe-contraction":
-            return _run_probe(cfg)
+        return runner(cfg)
     except (SingularLopatinskii, NeumannDiverged) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except EmptyGrid as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        # a config value the computation cannot take
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError("unreachable scenario")
+
+
+# subcommand -> the scenario it runs unless the config or --kind names one
+SUBCOMMANDS = {"validate": "validate", "scan": "scan", "solve": "solve-full",
+               "rbound": "rbound", "probe": "probe-contraction"}
 
 
 def _build_parser():
@@ -314,7 +348,7 @@ def _build_parser():
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--format", type=str, choices=("json", "csv"),
                         default=None)
-    for name in ("validate", "scan", "solve", "rbound", "probe"):
+    for name in SUBCOMMANDS:
         sp = sub.add_parser(name, parents=[common])
         if name == "validate":
             for key in ("mu", "nu", "kappa", "gamma"):
@@ -343,37 +377,17 @@ def main(argv=None) -> int:
             print(f"malformed config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     # flags override config keys
+    raw.setdefault("scenario", SUBCOMMANDS[args.command])
+    if getattr(args, "kind", None):
+        raw["scenario"] = f"solve-{args.kind}"
     if args.command == "validate":
-        raw.setdefault("scenario", "validate")
-        params = dict(raw.get("params", {}))
+        raw["params"] = dict(raw.get("params", {}))
         for key in ("mu", "nu", "kappa", "gamma"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
-        raw["params"] = params
-    elif args.command == "scan":
-        raw.setdefault("scenario", "scan")
-        if args.target:
-            raw["target"] = args.target
-    elif args.command == "solve":
-        kind = getattr(args, "kind", None)
-        if kind:
-            raw["scenario"] = f"solve-{kind}"
-        raw.setdefault("scenario", "solve-full")
-    elif args.command == "rbound":
-        raw.setdefault("scenario", "rbound")
-        if args.family:
-            raw["family"] = args.family
-        if args.trials is not None:
-            raw["trials"] = args.trials
-    elif args.command == "probe":
-        raw.setdefault("scenario", "probe-contraction")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.format is not None:
-        raw["format"] = args.format
+            if getattr(args, key) is not None:
+                raw["params"][key] = getattr(args, key)
+    for key in ("target", "family", "trials", "seed", "out", "format"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     try:
         cfg = ScenarioConfig.from_dict(raw)
     except (ValueError, TypeError) as exc:

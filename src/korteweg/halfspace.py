@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, LambdaOutsideSector, SingularLopatinskii
-from .model import (DerivedConstants, MaterialParams, Sector, boundary_rows,
+from .errors import GridMismatch, SingularLopatinskii
+from .model import (DerivedConstants, MaterialParams, boundary_rows,
                     derive_constants, interior_rows, mode_derivative)
 from .symbols import (FrakSymbols, RootSet, expand_modes, frak_symbols,
                       kernel_M, lam_axes, lopatinskii, roots_t)
@@ -506,18 +506,13 @@ class ReducedSolution:
 
 def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
                       normal: NormalSamples, p: MaterialParams,
-                      dc: DerivedConstants | None = None,
-                      sector: Sector | None = None) -> ReducedSolution:
+                      dc: DerivedConstants | None = None) -> ReducedSolution:
     """Same as solve_reduced, from tangential trace coefficients.
 
     ``lam`` may be a batch array; the traces then carry the batch axes
     (after the component axis) ahead of the mode axes.
     """
     dc = derive_constants(p) if dc is None else dc
-    if sector is not None:
-        for z in np.ravel(lam):
-            if not sector.contains(z):
-                raise LambdaOutsideSector(f"lambda {z} outside sector")
     xi = tuple(grid.xi_mesh())
     rho_prof, u_profs, roots = s6_profiles(
         xi, lam_axes(lam, grid.dim_t), g_hat0, h_hat0, dc, p)
@@ -527,8 +522,7 @@ def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
 
 def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,
                   normal: NormalSamples, p: MaterialParams,
-                  dc: DerivedConstants | None = None,
-                  sector: Sector | None = None) -> ReducedSolution:
+                  dc: DerivedConstants | None = None) -> ReducedSolution:
     """Solve the homogeneous-interior problem with boundary data (g, h).
 
     ``g_trace`` has shape (N, tangential shape) and ``h_trace``
@@ -540,7 +534,7 @@ def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,
     if g_trace.shape != (n,) + grid.shape or h_trace.shape != grid.shape:
         raise GridMismatch("boundary data shapes do not match grid")
     return solve_reduced_hat(grid.fft(g_trace), grid.fft(h_trace), lam,
-                             grid, normal, p, dc, sector)
+                             grid, normal, p, dc)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Physical parameters, derived spectral constants, the resolvent sector,
-and the rows of the resolvent system (written once, for every caller).
+the radial lam d/dlam difference rule, and the rows of the resolvent
+system (each written once, for every caller).
 
 The model carries four coefficients of the rescaled system (reference
 density 1): two viscosities ``mu``, ``nu``, a capillary coefficient
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient
+from .errors import (EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient,
+                     StepOutsideSector)
 
 # Relative tolerance for the exact-zero admissibility tests.  Exact-zero
 # conditions are measure-zero; near-violations make the boundary symbols
@@ -34,6 +36,9 @@ ZERO_TOL = 1e-13
 
 # relative distance Sector.sample keeps from the modulus floor and the rim
 SAMPLE_MARGIN = 1e-3
+
+# relative radial step of every lam d/dlam difference
+LAM_REL_STEP = 1e-5
 
 
 def jth(j: int, first, second):
@@ -126,6 +131,40 @@ class Sector:
         amax = (math.pi - self.sigma) * (1 - SAMPLE_MARGIN)
         ang = rng.uniform(-amax, amax, n)
         return mod * np.exp(1j * ang)
+
+
+def radial_factors(rel_step: float = LAM_REL_STEP):
+    """The radial difference factors 1 +- rel_step/2, then 1 +- rel_step."""
+    return (1 + rel_step / 2, 1 - rel_step / 2, 1 + rel_step, 1 - rel_step)
+
+
+def radial_stencil(lam, sector: Sector | None = None,
+                   rel_step: float = LAM_REL_STEP):
+    """Each lam times the ``radial_factors``, on a trailing axis.
+
+    The step direction lam/|lam| keeps the points at the same argument,
+    so only the modulus floor can be violated; every point is checked
+    against ``sector``, when given, before any operator is applied.
+    """
+    points = (np.asarray(lam, dtype=complex)[..., None]
+              * np.array(radial_factors(rel_step)))
+    if sector is not None:
+        for z in points.ravel():
+            if not sector.contains(z):
+                raise StepOutsideSector(f"{z} leaves the sector")
+    return points
+
+
+def richardson(fine, coarse):
+    """One Richardson step for central differences at steps h/2 and h."""
+    return (4.0 * fine - coarse) / 3.0
+
+
+def lam_derivative(up_half, dn_half, up, dn, rel_step: float = LAM_REL_STEP):
+    """lam d/dlam from values at lam times the four ``radial_factors``:
+    central differences at both steps, Richardson-extrapolated once."""
+    return richardson((up_half - dn_half) / rel_step,
+                      (up - dn) / (2 * rel_step))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GridMismatch, NeumannDiverged
 from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
-from .model import (DerivedConstants, MaterialParams, Sector, _d, _orders,
+from .model import (DerivedConstants, MaterialParams, _d, _orders,
                     boundary_rows, derive_constants, interior_rows,
                     mode_derivative)
 from .symbols import lam_axes
@@ -341,8 +341,7 @@ def correct_boundary_data_hat(data: FullData, whole: _WholePart,
 
 
 def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
-                     dc: DerivedConstants | None = None,
-                     sector: Sector | None = None) -> PipelineSolution:
+                     dc: DerivedConstants | None = None) -> PipelineSolution:
     """Whole-space solve on extended data plus the boundary corrector.
 
     ``lam`` is a scalar or an array that broadcasts against the data's
@@ -357,7 +356,7 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
     whole = _WholePart(geo, rho_hat, u_hat)
     g_t, h_t = correct_boundary_data_hat(data, whole, p)
     red = solve_reduced_hat(g_t, h_t, lam, geo.tangential,
-                            geo.normal_samples(), p, dc, sector=sector)
+                            geo.normal_samples(), p, dc)
     return PipelineSolution(geometry=geo, lam=lam, params=p, whole=whole,
                             corrector=red)
 
@@ -515,10 +514,9 @@ def one_step_ratio(data: FullData, lam: complex, p: MaterialParams,
 
 
 def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
-                      lambda_list, seed: int = 0,
-                      dc: DerivedConstants | None = None):
+                      lambda_list, seed: int = 0):
     """Empirical one-application ratios on random unit data, per lambda."""
-    dc = derive_constants(p) if dc is None else dc
+    dc = derive_constants(p)
     rows = []
     for lam in lambda_list:
         rng = np.random.default_rng(seed)
@@ -527,14 +525,14 @@ def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
     return rows
 
 
-def auto_lambda0(p: MaterialParams, geometry: HalfGeometry, seed: int = 0,
-                 dc: DerivedConstants | None = None) -> float:
+def auto_lambda0(p: MaterialParams, geometry: HalfGeometry,
+                 seed: int = 0) -> float:
     """Double the modulus floor until one G-application contracts.
 
     The true threshold depends on unobservable constants; locating the
     contraction empirically is the honest substitute.
     """
-    dc = derive_constants(p) if dc is None else dc
+    dc = derive_constants(p)
     rng = np.random.default_rng(seed)
     data = random_full_data(geometry, rng)
     lam0 = LAMBDA0_START

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepOutsideSector, ZeroDenominator
-from .model import DerivedConstants, MaterialParams, Sector, derive_constants
+from .errors import ZeroDenominator
+from .model import (LAM_REL_STEP, DerivedConstants, MaterialParams, Sector,
+                    derive_constants, lam_derivative, radial_stencil)
 from .resolvent import (FullData, HalfGeometry, data_blocks,
                         random_full_data, solve_gamma_zero)
 
 FAMILIES = ("S_A", "T_B", "S_A_dlambda", "T_B_dlambda")
-
-# relative radial step of the lambda-derivative families
-REL_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -70,70 +68,34 @@ def rademacher_closed_form(vectors, weights=None):
     return float(sum(np.sum(np.abs(v) ** 2 * w) for v in vectors))
 
 
-def rademacher_ratio(outputs, inputs, out_weights=None, in_weights=None,
-                     mode: str = "exact", rng=None, draws: int = 10_000):
+def rademacher_ratio(outputs, inputs):
     """Ratio of Rademacher-averaged norms, outputs over inputs.
 
     outputs[j] is the flattened weighted-block vector T_j f_j; inputs[j]
-    the flattened data-block vector of f_j.  For m = 1 this reduces to a
-    plain operator-norm sample.
+    the flattened data-block vector of f_j; both averages are exact.  For
+    m = 1 this reduces to a plain operator-norm sample.
     """
-    denom = rademacher_mean_sq(inputs, in_weights, mode, rng, draws)
+    denom = rademacher_mean_sq(inputs)
     if denom == 0.0:
         raise ZeroDenominator("all inputs vanish")
-    numer = rademacher_mean_sq(outputs, out_weights, mode, rng, draws)
-    return float(np.sqrt(numer / denom))
+    return float(np.sqrt(rademacher_mean_sq(outputs) / denom))
 
 
 # ---------------------------------------------------------------------------
 # operator families
 # ---------------------------------------------------------------------------
 
-def _radial_stencil(lam, sector: Sector | None = None,
-                    rel_step: float = REL_STEP):
-    """The four radial difference points of each lam, on a trailing axis.
-
-    Order: lam (1 +- rel_step/2), then lam (1 +- rel_step).  The step
-    direction lam/|lam| keeps the points at the same argument, so only
-    the modulus floor can be violated; every point is checked against
-    the sector before any operator is applied.
-    """
-    factors = np.array([1 + rel_step / 2, 1 - rel_step / 2,
-                        1 + rel_step, 1 - rel_step])
-    points = np.asarray(lam, dtype=complex)[..., None] * factors
-    if sector is not None:
-        for z in points.ravel():
-            if not sector.contains(z):
-                raise StepOutsideSector(f"{z} leaves the sector")
-    return points
-
-
-def _richardson(values, rel_step: float = REL_STEP, axis: int = 0):
-    """lam d/dlam from operator values at the _radial_stencil points.
-
-    Central differences at both steps, Richardson-extrapolated once.
-    """
-    up_half, dn_half, up, dn = np.moveaxis(values, axis, 0)
-
-    def d(plus, minus, eps):
-        return (plus - minus) / (2 * eps)
-
-    return (4.0 * d(up_half, dn_half, rel_step / 2)
-            - d(up, dn, rel_step)) / 3.0
-
-
 def lambda_derivative_family(apply_op, lam: complex, sector: Sector | None
-                             = None, rel_step: float = REL_STEP):
+                             = None, rel_step: float = LAM_REL_STEP):
     """lam d/dlam of an operator value by radial central differences.
 
     ``apply_op`` maps a scalar lam to a flat complex vector.  It runs at
-    lam (1 +- rel_step/2) and lam (1 +- rel_step), all checked against
-    ``sector`` first, and the two central differences are
-    Richardson-extrapolated once.
+    the ``model.radial_stencil`` points, all checked against ``sector``
+    first, and ``model.lam_derivative`` combines the values.
     """
     values = [apply_op(complex(z))
-              for z in _radial_stencil(lam, sector, rel_step)]
-    return _richardson(np.stack(values), rel_step)
+              for z in radial_stencil(lam, sector, rel_step)]
+    return lam_derivative(*values, rel_step=rel_step)
 
 
 def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,
@@ -155,10 +117,10 @@ def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,
 
     if family_id == which:
         return list(blocks(solve_gamma_zero(data, lam, p, dc)))
-    points = _radial_stencil(lam, sector)
+    points = radial_stencil(lam, sector)
     stencil_axis = -data.geometry.dim - 1
     # the solution (the whole stencil batch) is freed before differencing
-    return [_richardson(b, axis=stencil_axis) for b in blocks(
+    return [lam_derivative(*np.moveaxis(b, stencil_axis, 0)) for b in blocks(
         solve_gamma_zero(data.with_member_axis(), points, p, dc))]
 
 

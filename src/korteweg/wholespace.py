@@ -181,7 +181,8 @@ def band_limited_field(grid: BoxGrid, rng, kmax: int, components: int = 0):
     """Random smooth field with lattice support |k_i| <= kmax per axis."""
     m = grid.points_per_axis
     if kmax >= m // 2:
-        raise ValueError("kmax must stay below the Nyquist mode")
+        raise ValueError(f"kmax {kmax} must stay below the Nyquist mode "
+                         f"points_per_axis // 2 = {m // 2}")
     shape = grid.shape if components == 0 else (components,) + grid.shape
     coeffs = np.zeros(shape, dtype=complex)
     k = np.fft.fftfreq(m, d=1.0 / m).astype(int)

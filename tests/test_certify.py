@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from korteweg import certify, symbols
-from korteweg.certify import (LAM_REL_STEP, Certificate, GridSpec,
-                              _step_sizes, certify_multiplier,
-                              certify_registry, empirical_sigma_star,
-                              scan_lower_bound, symbol_registry)
+from korteweg.certify import (Certificate, GridSpec, _step_sizes,
+                              certify_multiplier, certify_registry,
+                              empirical_sigma_star, scan_lower_bound,
+                              symbol_registry)
 from korteweg.errors import DerivativeStepUnderflow, EmptyGrid
-from korteweg.model import MaterialParams, Sector, derive_constants
+from korteweg.model import (LAM_REL_STEP, MaterialParams, Sector,
+                            derive_constants)
+from korteweg.verification import lambda_derivative_family
 
 from paramsets import ACCEPTANCE_SETS
 
@@ -212,3 +214,18 @@ def test_certify_registry_is_the_sigma_star_sweep():
     fn, order, typ = symbol_registry(P, DC)["p1"]
     assert certs == [certify_multiplier(fn, "p1", order, typ, sec, P,
                                         max_alpha=1)]
+
+
+@pytest.mark.parametrize("name", ["l1", "r2", "omega^-1"])
+def test_lambda_dilation_is_the_verification_rule(name):
+    # certify and the R-bound derivative families share one lam d/dlam
+    # rule: per lam, the dilation of a registry closure on a xi grid equals
+    # lambda_derivative_family of the same closure, bit for bit
+    fn, _, _ = symbol_registry(P, DC)[name]
+    xi_vec = np.logspace(-2, 2, 9)[None, :]
+    for lam in (3.0 + 0.0j, 40.0 * np.exp(1.2j), 2e3 * np.exp(-2.0j)):
+        lams = np.full(xi_vec.shape[1], lam)
+        dilated = certify._lambda_dilation(fn)(xi_vec, lams)
+        ref = lambda_derivative_family(
+            lambda z: fn(xi_vec, np.full(xi_vec.shape[1], z)), lam)
+        assert np.array_equal(dilated, ref)

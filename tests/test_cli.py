@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,58 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"scenario": "frobnicate"}))
         assert run_cli(["validate", "--config", str(cfg)]) == 2
 
+    def test_sector_object_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "rbound",
+                                   "sector": {"sigma": 1.2, "delta": 0.5}}))
+        assert run_cli(["rbound", "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['sector']" in capsys.readouterr().err
+
+
+# the config keys each scenario reads besides params and out; scan reads
+# by target, so its certificate target is a row of its own
+READS = {
+    ("validate", None): set(),
+    ("scan", "certificates"): {"target", "symbols", "max_alpha"},
+    ("scan", "l1"): {"target", "grid", "sigma", "delta", "format"},
+    ("solve-whole", None): {"lambda", "points_per_axis", "seed"},
+    ("solve-half", None): {"lambda", "points_per_axis", "height", "seed"},
+    ("solve-full", None): {"lambda", "points_per_axis", "height", "gamma",
+                           "seed"},
+    ("rbound", None): {"sigma", "delta", "points_per_axis", "family",
+                       "trials", "m_max", "seed", "format"},
+    ("probe-contraction", None): {"points_per_axis", "lambdas", "seed",
+                                  "format"},
+}
+ALL_KEYS = set().union(*READS.values())
+UNREAD = [(scenario, target, key) for (scenario, target), keys
+          in READS.items() for key in sorted(ALL_KEYS - keys)]
+
+
+def test_table_is_the_read_sets():
+    def rows(sets):
+        return sorted(sorted(keys) for keys in sets)
+
+    assert rows(keys for _, keys in cli.SCENARIOS.values()) == rows(
+        READS.values())
+    assert sum(map(len, READS.values())) == 32
+    assert len(UNREAD) == 8 * len(ALL_KEYS) - 32
+
+
+@pytest.mark.parametrize("scenario,target,key", UNREAD)
+def test_unread_key_exit_2(tmp_path, capsys, monkeypatch, scenario, target,
+                           key):
+    for name, (runner, keys) in cli.SCENARIOS.items():
+        monkeypatch.setitem(cli.SCENARIOS, name, (None, keys))
+    obj = {"scenario": scenario, key: 1}
+    if target:
+        obj["target"] = target
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(obj))
+    assert run_cli([scenario.split("-")[0], "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "have no effect" in err and repr(key) in err
+
 
 class TestScenarios:
     def test_scan_l1(self, tmp_path):
@@ -108,6 +161,48 @@ class TestScenarios:
         assert run_cli(["scan", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "invalid config" in err and key in err
+
+    def test_rbound_delta_alone_reaches_report(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "rbound", "trials": 1, "m_max": 1,
+            "points_per_axis": 16, "family": "T_B", "delta": 5.0}))
+        assert run_cli(["rbound", "--config", str(cfg), "--out",
+                        str(tmp_path)]) == 0
+        est = read_report(tmp_path, "rbound")["estimates"]["T_B"]
+        assert est["delta"] == 5.0
+        # the reference parameters (1, 1, 2) have sigma_w = pi/4
+        assert est["sigma"] == math.pi / 4 + 0.4
+
+    def test_sigma_on_solve_full_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "solve-full", "sigma": 1.5,
+                                   "delta": 1e6}))
+        assert run_cli(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "no effect on solve-full" in err and "'sigma'" in err
+
+    def test_whole_grid_too_coarse_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "solve-whole",
+                                   "points_per_axis": 16}))
+        assert run_cli(["solve", "--config", str(cfg)]) == 2
+        assert "points_per_axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["whole", "half", "full"])
+    @pytest.mark.parametrize("lam", [0.0, -5.0, [-5.0, 0.0]])
+    def test_lambda_outside_sector_exit_2(self, tmp_path, capsys,
+                                          monkeypatch, kind, lam):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved at a refused lambda")
+
+        for name in ("solve_whole", "solve_reduced", "solve_general"):
+            monkeypatch.setattr(cli, name, no_solve)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lambda": lam, "points_per_axis": 32}))
+        assert run_cli(["solve", "--kind", kind, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: lambda" in err
 
     def test_solve_full_report(self, tmp_path):
         cfg = tmp_path / "c.json"
