@@ -90,9 +90,17 @@ class ScenarioConfig:
         return self.extra.get("format", "json")
 
     def sector(self, sigma: float, delta: float) -> Sector:
-        """The config's sector; a missing sigma or delta takes the default."""
-        return Sector(float(self.extra.get("sigma", sigma)),
-                      float(self.extra.get("delta", delta)))
+        """The config's sector; a missing sigma or delta takes the default.
+
+        An invalid value is refused with the name of its key.
+        """
+        sigma = float(self.extra.get("sigma", sigma))
+        delta = float(self.extra.get("delta", delta))
+        if not 0.0 < sigma < math.pi / 2:
+            raise ValueError(f"sigma = {sigma} must lie in (0, pi/2)")
+        if delta < 0.0:
+            raise ValueError(f"delta = {delta} must be nonnegative")
+        return Sector(sigma, delta)
 
 
 def _emit(cfg: ScenarioConfig, name: str, payload: dict):
@@ -174,16 +182,22 @@ def _run_certificates(cfg: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def _lambda_of(cfg: ScenarioConfig) -> complex:
-    """The config's lambda, refused unless |arg lambda| < pi - sigma_w."""
-    raw = cfg.extra.get("lambda", [100.0, 0.0])
+def _admissible(cfg: ScenarioConfig, raw, name: str) -> complex:
+    """The config value ``raw`` (a number or [re, im]) as a lambda,
+    refused under its config name ``name`` unless it is nonzero with
+    |arg lambda| < pi - sigma_w."""
     lam = complex(raw) if isinstance(raw, (int, float)) \
         else complex(raw[0], raw[1])
     rim = math.pi - derive_constants(cfg.params).sigma_w
     if lam == 0 or abs(cmath.phase(lam)) >= rim:
-        raise ValueError(f"lambda {lam} must be nonzero with "
+        raise ValueError(f"{name} {lam} must be nonzero with "
                          f"|arg lambda| < pi - sigma_w = {rim:.6g}")
     return lam
+
+
+def _lambda_of(cfg: ScenarioConfig) -> complex:
+    """The config's lambda, refused unless admissible."""
+    return _admissible(cfg, cfg.extra.get("lambda", [100.0, 0.0]), "lambda")
 
 
 def _solve_geometry(cfg: ScenarioConfig) -> HalfGeometry:
@@ -278,9 +292,10 @@ def _run_rbound(cfg: ScenarioConfig) -> int:
 def _run_probe(cfg: ScenarioConfig) -> int:
     geo = HalfGeometry(dim=2, points_per_axis=int(cfg.extra.get(
         "points_per_axis", 32)))
-    lambdas = cfg.extra.get("lambdas", [1.0, 10.0, 100.0, 1e3, 1e4])
-    rows = contraction_probe(cfg.params, geo, [complex(v) for v in lambdas],
-                             seed=cfg.seed)
+    lambdas = [_admissible(cfg, v, f"lambdas[{i}]")
+               for i, v in enumerate(cfg.extra.get(
+                   "lambdas", [1.0, 10.0, 100.0, 1e3, 1e4]))]
+    rows = contraction_probe(cfg.params, geo, lambdas, seed=cfg.seed)
     payload = {"rows": [{"lambda": [lam.real, lam.imag], "ratio": r}
                         for lam, r in rows]}
     _emit(cfg, "probe", payload)

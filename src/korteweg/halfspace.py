@@ -20,8 +20,7 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,12 +171,6 @@ def channel_table(roots: RootSet, x) -> dict:
             "M0": kernel_M(0, x, roots),
             "M1": kernel_M(1, x, roots),
             "M2": kernel_M(2, x, roots)}
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and a.tobytes() == b.tobytes())
 
 
 @dataclass
@@ -438,8 +431,9 @@ class ReducedSolution:
     ``rho_prof`` and ``u_profs`` hold the production (eliminated-form)
     representation; the amplitude paths (``coefficients_direct``,
     ``coefficients_closed_form``) are separate oracles.  Samples at the
-    ``normal`` points all read one channel table, built on first use or
-    adopted from a solution at the same lambda (``adopt_table``).
+    ``normal`` points all read one channel table, ``table``: empty until
+    the first sample fills it.  Solutions at one lambda on one normal
+    grid may be handed the same dict, and then build it once.
     """
 
     grid: TangentialGrid
@@ -449,6 +443,7 @@ class ReducedSolution:
     roots: RootSet
     rho_prof: ChannelProfile
     u_profs: list
+    table: dict = field(default_factory=dict, repr=False)
     _derivatives: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -467,27 +462,12 @@ class ReducedSolution:
             self._derivatives[key] = prof
         return self._derivatives[key]
 
-    @cached_property
-    def _table(self) -> dict:
-        return channel_table(self.roots, self.normal.x)
-
-    def adopt_table(self, other: "ReducedSolution"):
-        """Sample against the channel table of ``other`` from now on.
-
-        The table reads only the exponents and the normal samples, so it
-        is shared only when those are bitwise equal; otherwise raises.
-        """
-        same = _same_bits(self.normal.x, other.normal.x) and all(
-            _same_bits(getattr(self.roots, f.name),
-                       getattr(other.roots, f.name)) for f in fields(RootSet))
-        if not same:
-            raise ValueError("channel table of other exponents or samples")
-        self.__dict__["_table"] = other._table
-
     def sample(self, which, k: int = 0) -> np.ndarray:
         """(modes..., x) samples of ``profile(which, k)`` at the normal
         samples, against the one channel table of this solution."""
-        return self.profile(which, k).evaluate_with(self._table,
+        if not self.table:
+            self.table.update(channel_table(self.roots, self.normal.x))
+        return self.profile(which, k).evaluate_with(self.table,
                                                     self.normal.x)
 
     def rho_hat(self):
@@ -506,18 +486,22 @@ class ReducedSolution:
 
 def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
                       normal: NormalSamples, p: MaterialParams,
-                      dc: DerivedConstants | None = None) -> ReducedSolution:
+                      dc: DerivedConstants | None = None,
+                      table: dict | None = None) -> ReducedSolution:
     """Same as solve_reduced, from tangential trace coefficients.
 
     ``lam`` may be a batch array; the traces then carry the batch axes
-    (after the component axis) ahead of the mode axes.
+    (after the component axis) ahead of the mode axes.  ``table`` is a
+    channel table (see ReducedSolution) shared with other solutions at
+    this lam on these normal samples; by default the solution owns one.
     """
     dc = derive_constants(p) if dc is None else dc
     xi = tuple(grid.xi_mesh())
     rho_prof, u_profs, roots = s6_profiles(
         xi, lam_axes(lam, grid.dim_t), g_hat0, h_hat0, dc, p)
     return ReducedSolution(grid=grid, normal=normal, lam=lam, params=p,
-                           roots=roots, rho_prof=rho_prof, u_profs=u_profs)
+                           roots=roots, rho_prof=rho_prof, u_profs=u_profs,
+                           table={} if table is None else table)
 
 
 def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,

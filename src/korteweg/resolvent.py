@@ -10,6 +10,12 @@ The solution object keeps the whole-space part as lattice coefficients
 and the corrector as per-mode channel profiles, so every derivative in
 the residuals and norm blocks is exact (spectral or recurrence), never a
 finite difference.
+
+What a gamma = 0 solve reads that depends only on (geometry, lam,
+params) is one ``LambdaState``: the whole-space multipliers and the
+corrector's channel table.  ``solve_general`` builds one per call and
+every Neumann iterate shares it.  The data norm transforms only the data
+fields that are not identically zero.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .model import (DerivedConstants, MaterialParams, _d, _orders,
                     boundary_rows, derive_constants, interior_rows,
                     mode_derivative)
 from .symbols import lam_axes
-from .wholespace import BoxGrid, solve_whole_hat
+from .wholespace import BoxGrid, apply_whole, whole_multipliers
 
 # fixed-point budget of solve_general, and its stopping threshold on the
 # increment relative to the data norm
@@ -193,17 +199,20 @@ class _WholePart:
         self.geometry = geometry
         self.rho_hat = rho_hat
         self.u_hat = u_hat
-        self._mesh = geometry.box.freq_mesh()
+        self._ik = 1j * geometry.box.freq_1d()
         # the boundary z = 0 sits at sample index m/2 of the box axis
         # [-H, H), i.e. at the alternating-phase sum of the coefficients
         m = geometry.points_per_axis
         self._trace_phase = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) / m
 
     def _deriv_hat(self, coeff, orders):
+        """Multiply by (i xi_axis)^k per axis, each a 1-D factor broadcast
+        along its axis of the box."""
         out = coeff
         for axis, k in enumerate(orders):
             if k:
-                out = out * (1j * self._mesh[axis]) ** k
+                out = out * (self._ik ** k).reshape(
+                    (-1,) + (1,) * (len(orders) - 1 - axis))
         return out
 
     def coeff(self, which):
@@ -340,23 +349,40 @@ def correct_boundary_data_hat(data: FullData, whole: _WholePart,
             tan.fft(data.h[..., 0]) - neumann)
 
 
+class LambdaState:
+    """What a gamma = 0 solve reads that depends only on (geometry, lam,
+    params): the whole-space multipliers, built here, and the corrector's
+    channel table, built by the first solution that samples it.  Every
+    solve handed this state shares both; it holds nothing of the data.
+    """
+
+    def __init__(self, geometry: HalfGeometry, lam, p: MaterialParams,
+                 dc: DerivedConstants | None = None):
+        self.dc = derive_constants(p) if dc is None else dc
+        self.multipliers = whole_multipliers(lam, p, geometry.box)
+        self.table = {}
+
+
 def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
-                     dc: DerivedConstants | None = None) -> PipelineSolution:
+                     dc: DerivedConstants | None = None,
+                     state: LambdaState | None = None) -> PipelineSolution:
     """Whole-space solve on extended data plus the boundary corrector.
 
     ``lam`` is a scalar or an array that broadcasts against the data's
     batch shape; one call then solves every (datum, lam) member at once.
+    ``state`` is the ``LambdaState`` of this geometry, lam and params,
+    shared by every solve at that lam; a call without one builds its own.
     """
-    dc = derive_constants(p) if dc is None else dc
     geo = data.geometry
+    state = LambdaState(geo, lam, p, dc) if state is None else state
     axes_box = tuple(range(-geo.dim, 0))
     d_hat = np.fft.fftn(extend_even(geo, data.d), axes=axes_box)
     f_hat = np.fft.fftn(extend_zero(geo, data.f), axes=axes_box)
-    rho_hat, u_hat = solve_whole_hat(d_hat, f_hat, lam, p, geo.box)
+    rho_hat, u_hat = apply_whole(state.multipliers, d_hat, f_hat)
     whole = _WholePart(geo, rho_hat, u_hat)
     g_t, h_t = correct_boundary_data_hat(data, whole, p)
     red = solve_reduced_hat(g_t, h_t, lam, geo.tangential,
-                            geo.normal_samples(), p, dc)
+                            geo.normal_samples(), p, state.dc, state.table)
     return PipelineSolution(geometry=geo, lam=lam, params=p, whole=whole,
                             corrector=red)
 
@@ -392,7 +418,19 @@ def _derivative_blocks(geo: HalfGeometry, fields, totals):
     generators keep it smooth): one forward transform per field, one
     inverse per normal order.  Tangential factors multiply the
     tangential coefficients; pure-normal entries skip those transforms.
+    A field that is identically zero is not transformed: its rows are
+    zeros (every Neumann increment and every G output has zero h and
+    zero tangential g).
     """
+    live = [i for i in range(len(fields)) if np.any(fields[i])]
+    if len(live) < len(fields):
+        out = [np.zeros((len(list(_orders(geo.dim, t))),) + fields.shape,
+                        dtype=complex) for t in totals]
+        if live:
+            for block, rows in zip(out, _derivative_blocks(
+                    geo, fields[live], totals)):
+                block[:, live] = rows
+        return out
     axes = geo.tangential.field_axes
     xi = geo.tangential.xi_mesh()
     k_n = 1j * geo.box.freq_1d()
@@ -432,15 +470,15 @@ class NeumannState:
 
 def apply_G(data: FullData, lam: complex, p: MaterialParams,
             dc: DerivedConstants | None = None,
-            sol: PipelineSolution | None = None) -> FullData:
+            state: LambdaState | None = None) -> FullData:
     """One application of the pressure-coupling map.
 
     Output rows: (0, -gamma grad rho0, gamma rho0 n, 0) where rho0 is the
-    gamma = 0 density for the given data.
+    gamma = 0 density for the given data, solved with ``state`` (see
+    solve_gamma_zero) and dropped on return.
     """
     geo = data.geometry
-    if sol is None:
-        sol = solve_gamma_zero(data, lam, p, dc)
+    sol = solve_gamma_zero(data, lam, p, dc, state=state)
     n = geo.dim
     out = FullData.zeros(geo)
     grad = sol.grad_rho()
@@ -458,7 +496,8 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     Iterates F <- F0 + G(lam) F; at the fixed point the gamma = 0 solve
     of F solves the full system.  Raises NeumannDiverged after five
     consecutive non-contracting steps.  Every solve is at the same lam,
-    so all of them sample against the channel table of the first.
+    so all of them share one ``LambdaState``: one set of whole-space
+    multipliers and one channel table per call.
     """
     dc = derive_constants(p) if dc is None else dc
     if p.gamma == 0.0:
@@ -472,15 +511,9 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     prev_increment = None
     ratios = []
     bad_streak = 0
-    table_owner = None
+    state = LambdaState(data.geometry, lam, p, dc)
     for it in range(1, MAX_NEUMANN_ITER + 1):
-        sol = solve_gamma_zero(current, lam, p, dc)
-        if table_owner is None:
-            table_owner = sol.corrector
-        else:
-            sol.corrector.adopt_table(table_owner)
-        gterm = apply_G(current, lam, p, dc, sol=sol)
-        nxt = data.combine(gterm)
+        nxt = data.combine(apply_G(current, lam, p, state=state))
         increment = nxt.diff_norm(current, lam)
         if prev_increment is not None and prev_increment > 0:
             ratio = increment / prev_increment
@@ -496,8 +529,7 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
         prev_increment = increment
         current = nxt
         if increment < NEUMANN_TOL * base_norm:
-            final = solve_gamma_zero(current, lam, p, dc)
-            final.corrector.adopt_table(table_owner)
+            final = solve_gamma_zero(current, lam, p, state=state)
             return final, NeumannState(iterations=it,
                                        increment_norm=increment,
                                        ratio_history=ratios)

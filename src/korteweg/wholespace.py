@@ -6,6 +6,10 @@ on the frequency lattice and any defect is an implementation defect.
 
 All fields are complex arrays; the velocity carries its component axis
 first, i.e. shape (N, M, ..., M).
+
+A solve is two steps: ``whole_multipliers`` builds every array that
+depends only on lam, and ``apply_whole`` applies them to the data
+coefficients, so solves at one lam can share the first step.
 """
 
 from __future__ import annotations
@@ -77,18 +81,31 @@ def l2_norm(grid: BoxGrid, arr) -> float:
     return float(np.sqrt(np.sum(np.abs(arr) ** 2) * grid.cell_volume()))
 
 
-def solve_whole_hat(d_hat, f_hat, lam, p: MaterialParams, grid: BoxGrid):
-    """Apply the resolvent multipliers to lattice coefficients (d^, f^).
+@dataclass(frozen=True)
+class WholeMultipliers:
+    """The resolvent multipliers of one lam on one BoxGrid.
 
-    rho-hat picks up (lam + (mu+nu)|xi|^2)/P from d and -i xi_j / P from
-    f_j; u-hat picks up -kappa i xi |xi|^2 / P from d, 1/(lam + mu |xi|^2)
-    from f, and the -xi_j xi (nu lam + kappa |xi|^2) coupling.  At xi = 0
-    the formulas reduce to rho = d/lam, u = f/lam since P(0, lam) = lam^2.
+    ``ixi`` holds i xi_j per axis; ``pp`` is P, ``visc`` lam + mu |xi|^2;
+    ``a`` = (lam + (mu+nu)|xi|^2)/P, ``b[j]`` = -kappa i xi_j |xi|^2/P
+    and ``c[j]`` = i xi_j (nu lam + kappa |xi|^2) / ((lam + mu |xi|^2) P).
+    """
 
-    ``d_hat`` has shape ``batch + grid.shape`` and ``f_hat``
-    ``(dim,) + batch + grid.shape``; ``lam`` is a scalar or an array that
-    broadcasts against the batch shape.  Raises LambdaOutsideSector
-    where P or lam + mu |xi|^2 vanishes on the lattice.
+    ixi: tuple
+    pp: np.ndarray
+    visc: np.ndarray
+    a: np.ndarray
+    b: tuple
+    c: tuple
+
+
+def whole_multipliers(lam, p: MaterialParams, grid: BoxGrid
+                      ) -> WholeMultipliers:
+    """Every array of the whole-space solve that depends only on lam.
+
+    ``lam`` is a scalar or an array of batch shape; the multipliers then
+    carry the batch axes ahead of the grid axes.  Raises
+    LambdaOutsideSector where P or lam + mu |xi|^2 vanishes on the
+    lattice.
     """
     mesh = grid.freq_mesh()
     xi_sq = sum(x * x for x in mesh)
@@ -98,21 +115,37 @@ def solve_whole_hat(d_hat, f_hat, lam, p: MaterialParams, grid: BoxGrid):
     if np.any(pp == 0.0) or np.any(visc == 0.0):
         raise LambdaOutsideSector("multiplier denominator vanishes on "
                                   "the lattice")
-    ixi_dot_f = sum(1j * mesh[j] * f_hat[j] for j in range(grid.dim))
-    rho_hat = ((lam + (p.mu + p.nu) * xi_sq) / pp) * d_hat - ixi_dot_f / pp
     # component c of the coupling: -xi_j xi_c (nu lam + kappa |xi|^2) /
     # ((lam + mu |xi|^2) P) f_j summed over j; with sum_j xi_j f_j written
     # through i xi . f this flips to +i xi_c (...) (i xi . f)
     coupling = (p.nu * lam + p.kappa * xi_sq) / (visc * pp)
-    u_hat = np.stack([-p.kappa * 1j * mesh[j] * xi_sq / pp * d_hat
-                      + f_hat[j] / visc + 1j * mesh[j] * coupling * ixi_dot_f
-                      for j in range(grid.dim)])
+    ixi = tuple(1j * x for x in mesh)
+    return WholeMultipliers(
+        ixi=ixi, pp=pp, visc=visc,
+        a=(lam + (p.mu + p.nu) * xi_sq) / pp,
+        b=tuple(-p.kappa * 1j * x * xi_sq / pp for x in mesh),
+        c=tuple(k * coupling for k in ixi))
+
+
+def apply_whole(m: WholeMultipliers, d_hat, f_hat):
+    """Apply the resolvent multipliers to lattice coefficients (d^, f^).
+
+    rho-hat = a d^ - (i xi . f^)/P and u-hat_j = b_j d^ + f^_j/(lam +
+    mu |xi|^2) + c_j (i xi . f^).  At xi = 0 these reduce to rho = d/lam,
+    u = f/lam since P(0, lam) = lam^2.  ``d_hat`` has shape
+    ``batch + grid.shape`` and ``f_hat`` ``(dim,) + batch + grid.shape``,
+    the batch shape broadcasting against the multipliers'.
+    """
+    ixi_dot_f = sum(k * f for k, f in zip(m.ixi, f_hat))
+    rho_hat = m.a * d_hat - ixi_dot_f / m.pp
+    u_hat = np.stack([b * d_hat + f / m.visc + c * ixi_dot_f
+                      for b, c, f in zip(m.b, m.c, f_hat)])
     return rho_hat, u_hat
 
 
 def solve_whole(d, f, lam: complex, p: MaterialParams, grid: BoxGrid,
                 sector: Sector | None = None) -> WholeField:
-    """Apply the resolvent multipliers (see solve_whole_hat) on the box."""
+    """Apply the resolvent multipliers (see apply_whole) on the box."""
     if sector is not None and not sector.contains(lam):
         raise LambdaOutsideSector(f"lambda {lam} outside sector")
     d = np.asarray(d, dtype=complex)
@@ -120,8 +153,8 @@ def solve_whole(d, f, lam: complex, p: MaterialParams, grid: BoxGrid,
     if d.shape != grid.shape or f.shape != (grid.dim,) + grid.shape:
         raise GridMismatch("data shapes do not match grid")
     axes = tuple(range(1, grid.dim + 1))
-    rho_hat, u_hat = solve_whole_hat(np.fft.fftn(d), np.fft.fftn(f, axes=axes),
-                                     lam, p, grid)
+    rho_hat, u_hat = apply_whole(whole_multipliers(lam, p, grid),
+                                 np.fft.fftn(d), np.fft.fftn(f, axes=axes))
     return WholeField(grid=grid, rho=np.fft.ifftn(rho_hat),
                       u=np.fft.ifftn(u_hat, axes=axes))
 

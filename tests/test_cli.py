@@ -204,6 +204,29 @@ class TestScenarios:
         err = capsys.readouterr().err
         assert "invalid config: lambda" in err
 
+    @pytest.mark.parametrize("lambdas,bad", [([-5.0], 0), ([0.0], 0),
+                                             ([10.0, [-5.0, 0.0]], 1)])
+    def test_probe_lambda_outside_sector_exit_2(self, tmp_path, capsys,
+                                                monkeypatch, lambdas, bad):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probed at a refused lambda")
+
+        monkeypatch.setattr(cli, "contraction_probe", no_probe)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "probe-contraction",
+                                   "lambdas": lambdas,
+                                   "points_per_axis": 16}))
+        assert run_cli(["probe", "--config", str(cfg)]) == 2
+        assert f"invalid config: lambdas[{bad}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("sigma", 2.0), ("sigma", 0.0),
+                                           ("delta", -1.0)])
+    def test_invalid_sector_key_named(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "rbound", key: value}))
+        assert run_cli(["rbound", "--config", str(cfg)]) == 2
+        assert f"invalid config: {key} = {value}" in capsys.readouterr().err
+
     def test_solve_full_report(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -191,36 +193,53 @@ class TestGammaPerturbation:
         sol, _ = rv.solve_general(data, lam, params)
         assert rv.residual_full(sol, data).max_relative() < 1e-8
 
-    def test_one_channel_table_per_solve(self, monkeypatch):
-        # every iterate and the final solve share the first iterate's
-        # table, and sample from it what a fresh solve samples
+    def test_one_lambda_state_per_solve(self, monkeypatch):
+        # every iterate and the final solve share one LambdaState, which
+        # builds the multipliers and the channel table once and is gone
+        # when solve_general returns; the solution is what a fresh
+        # one-shot solve of the final iterate's data gives
         geo = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(9))
         p1 = MaterialParams(1, 1, 2, gamma=0.1)
-        builds, solves = [], []
-        table, solve = hs.channel_table, rv.solve_gamma_zero
+        builds = {"table": 0, "multipliers": 0}
+        solves, states = [], []
+        solve = rv.solve_gamma_zero
 
-        def counted_table(*args):
-            builds.append(args)
-            return table(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                builds[name] += 1
+                return fn(*args)
+            return wrapper
 
-        def recorded_solve(*args):
+        def recorded_solve(*args, **kwargs):
             solves.append(args)
-            return solve(*args)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(hs, "channel_table", counted_table)
+        class RecordedState(rv.LambdaState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(weakref.ref(self))
+
+        monkeypatch.setattr(hs, "channel_table",
+                            counted("table", hs.channel_table))
+        monkeypatch.setattr(rv, "whole_multipliers",
+                            counted("multipliers", rv.whole_multipliers))
         monkeypatch.setattr(rv, "solve_gamma_zero", recorded_solve)
+        monkeypatch.setattr(rv, "LambdaState", RecordedState)
         sol, state = rv.solve_general(data, 100.0 + 0j, p1)
         assert state.iterations == 3 and len(solves) == 4
-        assert len(builds) == 1
+        assert all(args[1] == 100.0 + 0j for args in solves)
+        assert builds == {"table": 1, "multipliers": 1}
+        gc.collect()
+        assert len(states) == 1 and states[0]() is None
 
         def outputs(s):
             return list(s.s_blocks()) + list(s.t_blocks()) + [s.rho(), s.u()]
 
-        fresh = solve(*solves[-1])  # the final iterate, with its own table
+        fresh = solve(*solves[-1])  # the final iterate, with its own state
         for got, ref in zip(outputs(sol), outputs(fresh)):
             assert np.array_equal(got, ref)
-        assert len(builds) == 2
+        assert builds == {"table": 2, "multipliers": 2}
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(11)
@@ -364,6 +383,53 @@ class TestDataDerivatives:
                 geo, data.h, tuple(idx.count(a) for a in range(n)))])
             for idx in itertools.product(range(n), repeat=2)))
         assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    def test_zero_field_is_not_transformed(self, dim, m, monkeypatch):
+        # the rows of a zero field are exact zeros, the other rows are
+        # the blocks of the stack without it, and only the nonzero
+        # fields reach the forward transforms
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(26))
+        a, b = data.h, data.d
+        dense = rv._derivative_blocks(geo, np.stack([a, b]), (2, 1))
+        sizes = []
+        fft = np.fft.fft
+
+        def counted_fft(arr, *args, **kwargs):
+            sizes.append(np.shape(arr)[0])
+            return fft(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        skipped = rv._derivative_blocks(
+            geo, np.stack([a, np.zeros_like(a), b]), (2, 1))
+        assert sizes == [2]  # the one forward normal transform
+        for got, ref in zip(skipped, dense):
+            assert np.array_equal(got[:, [0, 2]], ref)
+            assert got[:, 1].dtype == complex and not np.any(got[:, 1])
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    def test_zero_h_batch_data_blocks(self, dim, m):
+        # a batched Neumann increment: h and the tangential g are zero
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(27), batch=3)
+        g = data.g.copy()
+        g[:-1] = 0.0
+        increment = rv.FullData(geo, data.d, data.f, g,
+                                np.zeros_like(data.h))
+        lams = MIXED_LAMS[:3]
+        got = rv.data_blocks(increment, lams)
+        ref = rv.data_blocks(rv.FullData(geo, data.d, data.f, g, data.h),
+                             lams)
+        (ref_grad_normal,) = rv._derivative_blocks(geo, g[-1:], (1,))
+        assert [b.shape for b in got] == [b.shape for b in ref]
+        for i in (0, 1, 3):  # d, f, |lam|^{1/2} g
+            assert np.array_equal(got[i], ref[i])
+        assert np.array_equal(got[2], ref[2])
+        assert np.array_equal(got[2][:, -1:], ref_grad_normal)
+        assert not np.any(got[2][:, :-1])
+        for block in got[4:]:  # second gradient, gradient and lam h
+            assert not np.any(block)
 
 
 def member(data, i):

@@ -6,7 +6,7 @@ from korteweg.model import MaterialParams, Sector, derive_constants
 from korteweg.symbols import whole_space_symbol_P
 from korteweg.wholespace import (BoxGrid, WholeField, apply_lhs,
                                  band_limited_field, l2_norm, residual_whole,
-                                 solve_whole)
+                                 solve_whole, whole_multipliers)
 
 P = MaterialParams(1.0, 1.0, 2.0)
 DC = derive_constants(P)
@@ -85,6 +85,15 @@ def test_sector_precondition():
     f = np.zeros((2,) + GRID.shape, dtype=complex)
     with pytest.raises(LambdaOutsideSector):
         solve_whole(d, f, -1.0 + 0.0j, P, GRID, sector=sec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.array([5.0, 0.0, 2.0j])])
+def test_multipliers_refuse_vanishing_denominator(lam):
+    # lam = 0 zeroes P at xi = 0; lam = -1 zeroes lam + mu |xi|^2 at
+    # |xi| = 1; both are refused before any division
+    with pytest.raises(LambdaOutsideSector):
+        whole_multipliers(lam, P, BoxGrid(dim=2, points_per_axis=16))
 
 
 def test_mode_exactness_over_lambdas():
