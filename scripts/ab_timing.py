@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Interleaved A/B op timing of two korteweg checkouts in one process.
 
-    python3 scripts/ab_timing.py pipeline256|rbound16 PATH_A PATH_B N
+    python3 scripts/ab_timing.py WORKLOAD PATH_A PATH_B N
+
+WORKLOAD is pipeline256, rbound16 or symbols_scan.
 
 Loads ``PATH_A/src/korteweg`` and ``PATH_B/src/korteweg`` as two
 packages under distinct module names, and builds each side's inputs
@@ -13,7 +15,8 @@ speed drifts moves both alike.  Prints each side's median op time, the
 ratio B/A of the medians, and whether every op's outputs (the
 workload's fingerprint) were equal on both sides.  Set the thread
 environment as ``perfbench/run.py`` does (OPENBLAS_NUM_THREADS=1 and so
-on) to time one thread.
+on) to time one thread.  Both sides share one heap, so a change in page
+faults, which separate benchmark processes show, does not show here.
 """
 
 import importlib
@@ -26,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEED = 1
-CHOICES = ("pipeline256", "rbound16")
+CHOICES = ("pipeline256", "rbound16", "symbols_scan")
 
 
 def load_side(tag: str, checkout: Path):

@@ -16,10 +16,19 @@ params) is one ``LambdaState``: the whole-space multipliers and the
 corrector's channel table.  ``solve_general`` builds one per call and
 every Neumann iterate shares it.  The data norm transforms only the data
 fields that are not identically zero.
+
+Every solution field comes from one kernel, ``PipelineSolution._evaluate``:
+a list of (which, orders) specs becomes one fresh stack.  Cached specs
+are copied in; each other (field, normal order) slot is
+inverse-transformed along the normal axis alone and restricted into its
+row, and those rows are transformed along the tangential axes in place.
+``field`` caches its row; the norm blocks are consecutive rows of one
+stack, scaled in place and never cached.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +113,19 @@ class HalfGeometry:
         w = self.normal_weights() * self.tangential.cell_measure()
         return sum(float(np.sum(np.abs(b) ** 2 * w)) for b in blocks)
 
+    def member_sq(self, blocks):
+        """Squared half-box L2 norm of each batch member, summed over a
+        sequence of blocks: one value per index of the member axis, the
+        axis just before the spatial axes.
+
+        Each member is summed alone, so its value does not depend on the
+        other members of the batch.
+        """
+        w = self.normal_weights() * self.tangential.cell_measure()
+        axis = -self.dim - 1
+        return sum(np.moveaxis(np.abs(b) ** 2 * w, axis, 0).reshape(
+            b.shape[axis], -1).sum(axis=1) for b in blocks)
+
     def half_l2(self, arr) -> float:
         """L2 over the half box; leading axes are components."""
         return float(np.sqrt(self.block_sq([arr])))
@@ -185,11 +207,12 @@ def extend_zero(geometry: HalfGeometry, arr):
     return out
 
 
-def restrict(geometry: HalfGeometry, arr):
-    """Restriction of a doubled-box field to the half grid."""
+def restrict(geometry: HalfGeometry, arr, out=None):
+    """Restriction of a doubled-box field to the half grid (into ``out``
+    when given)."""
     m = geometry.points_per_axis
-    half = arr[..., m // 2:]
-    return np.concatenate([half, arr[..., :1]], axis=-1)
+    return np.concatenate([arr[..., m // 2:], arr[..., :1]], axis=-1,
+                          out=out)
 
 
 class _WholePart:
@@ -241,40 +264,54 @@ class PipelineSolution:
     corrector: ReducedSolution
     _cache: dict = field(default_factory=dict)
 
-    def _field_batch(self, specs):
-        """Fill the cache for many (which, orders) pairs with batched ffts.
+    def _evaluate(self, specs):
+        """The (which, orders) fields of ``specs`` as one fresh stack, row
+        i holding spec i.
 
-        Tangential derivatives commute with the normal-axis inverse, so
-        the whole part goes through that inverse once per (field, normal
-        order) and is restricted to the half grid, where the corrector
-        joins it; each spec then takes its tangential factors and one
-        tangential inverse transforms the stack.  Only the normal-order
-        stack ever spans the full box.
+        A row whose spec is cached is copied from the cache.  Tangential
+        derivatives commute with the normal-axis inverse, so each other
+        (field, normal order) slot goes through that inverse alone,
+        straight into the half grid of the first row that reads it, where
+        the corrector sample joins it; later rows of the slot copy that
+        row.  These rows take their tangential factors in place, and each
+        run of them is transformed along the tangential axes in place.
         """
-        todo = [s for s in dict.fromkeys(specs) if s not in self._cache]
-        if not todo:
-            return
         geo = self.geometry
         whole, corr = self.whole, self.corrector
-        slot = {g: i for i, g in enumerate(
-            dict.fromkeys((which, orders[-1]) for which, orders in todo))}
         normal = (0,) * (geo.dim - 1)
-        base = restrict(geo, np.fft.ifft(np.stack(
-            [whole._deriv_hat(whole.coeff(which), normal + (k,))
-             for which, k in slot]), axis=-1))
-        for (which, k), i in slot.items():
-            base[i] += corr.sample(which, k)
         xi = geo.tangential.xi_mesh()
-        hats = np.empty((len(todo),) + base.shape[1:], dtype=complex)
-        for i, (which, orders) in enumerate(todo):
-            hats[i] = base[slot[(which, orders[-1])]]
-            for axis, k in enumerate(orders[:-1]):
-                if k:
-                    hats[i] *= (1j * xi[axis][..., None]) ** k
-        del base
-        fields = np.fft.ifftn(hats, axes=geo.tangential.field_axes)
-        for i, spec in enumerate(todo):
-            self._cache[spec] = fields[i]
+        out = np.empty((len(specs),) + whole.rho_hat.shape[:-geo.dim]
+                       + geo.half_shape, dtype=complex)
+        first = {}
+        for i, (which, orders) in enumerate(specs):
+            slot = (which, orders[-1])
+            if (which, orders) in self._cache:
+                out[i] = self._cache[(which, orders)]
+            elif slot in first:
+                out[i] = out[first[slot]]
+            else:
+                hat = whole._deriv_hat(whole.coeff(which),
+                                       normal + orders[-1:])
+                # a normal derivative is a fresh array: transform in place
+                restrict(geo, np.fft.ifft(hat, axis=-1,
+                                          out=hat if orders[-1] else None),
+                         out=out[i])
+                out[i] += corr.sample(*slot)
+                first[slot] = i
+        start = 0
+        for fresh, run in itertools.groupby(
+                specs, key=lambda spec: spec not in self._cache):
+            run = list(run)
+            rows = out[start:start + len(run)]
+            start += len(run)
+            if not fresh:
+                continue
+            for row, (_, orders) in zip(rows, run):
+                for axis, k in enumerate(orders[:-1]):
+                    if k:
+                        row *= (1j * xi[axis][..., None]) ** k
+            np.fft.ifftn(rows, axes=geo.tangential.field_axes, out=rows)
+        return out
 
     def field(self, which, orders=None):
         """A derivative of 'rho' or of a velocity component on the half grid.
@@ -283,7 +320,7 @@ class PipelineSolution:
         """
         key = (which, tuple(orders or (0,) * self.geometry.dim))
         if key not in self._cache:
-            self._field_batch([key])
+            self._cache[key] = self._evaluate([key])[0]
         return self._cache[key]
 
     def rho(self):
@@ -302,35 +339,39 @@ class PipelineSolution:
 
     def _blocks(self, comps, totals):
         """One block per total order: each distinct derivative of each
-        component, from one batched evaluation.
+        component, rows scaled by the root of their multiplicity, so a
+        block's norm is the norm of the full derivative tensor.
 
-        Rows are scaled by the root of their multiplicity, so a block's
-        norm is the norm of the full derivative tensor.
+        The blocks are consecutive rows of one ``_evaluate`` stack.
         """
         rows = [[(c, o, root) for c in comps
                  for o, root in _orders(self.geometry.dim, total)]
                 for total in totals]
-        self._field_batch([(c, o) for block in rows for c, o, _ in block])
-        out = []
+        stack = self._evaluate([(c, o) for block in rows
+                                for c, o, _ in block])
+        out, start = [], 0
         for block in rows:
-            arr = np.stack([self._cache[(c, o)] for c, o, _ in block])
-            arr *= np.array([root for _, _, root in block]).reshape(
-                (-1,) + (1,) * (arr.ndim - 1))
-            out.append(arr)
+            arr = stack[start:start + len(block)]
+            start += len(block)
+            roots = np.array([root for _, _, root in block])
+            out.append(np.multiply(
+                roots.reshape((-1,) + (1,) * (arr.ndim - 1)), arr, out=arr))
         return out
 
     def s_blocks(self):
         """(third gradient, sqrt(lam) second gradient, lam rho) stacked."""
         lam = self._lam()
         third, second, zeroth = self._blocks(["rho"], (3, 2, 0))
-        return third, np.sqrt(lam) * second, lam * zeroth[0]
+        return (third, np.multiply(np.sqrt(lam), second, out=second),
+                np.multiply(lam, zeroth[0], out=zeroth[0]))
 
     def t_blocks(self):
         """(second gradient, sqrt(lam) gradient, lam u) stacked."""
         lam = self._lam()
         second, first, zeroth = self._blocks(range(self.geometry.dim),
                                              (2, 1, 0))
-        return second, np.sqrt(lam) * first, lam * zeroth
+        return (second, np.multiply(np.sqrt(lam), first, out=first),
+                np.multiply(lam, zeroth, out=zeroth))
 
     def output_norm(self) -> float:
         blocks = list(self.s_blocks()) + list(self.t_blocks())
@@ -584,8 +625,10 @@ def random_full_data(geometry: HalfGeometry, rng,
     restriction of a generic band-limited box field.  The R-bound
     estimates grow with DATA_KMAX: the data norm measures d in L2 only,
     on which the solution operators are unbounded.  With ``batch`` the
-    result carries one batch axis of that many data, drawn one datum after
-    another exactly as by repeated unbatched calls.
+    result carries one batch axis of that many data.  All coefficients
+    come from one ``standard_normal`` draw ordered (datum, field, real
+    then imaginary part, modes), the stream order of repeated unbatched
+    calls, so a batch equals that many single draws bit for bit.
     """
     geo = geometry
     n = geo.dim
@@ -595,13 +638,12 @@ def random_full_data(geometry: HalfGeometry, rng,
     sel_n = np.where(np.abs(k) <= DATA_K_NORMAL)[0]
     idx = np.ix_(*([sel_t] * (n - 1) + [sel_n]))
     shape = tuple(len(s) for s in ([sel_t] * (n - 1) + [sel_n]))
-    # per datum the fields d, f_1..f_n, g_1..g_n, h, in draw order
+    # per datum the fields d, f_1..f_n, g_1..g_n, h, each real part then
+    # imaginary part, in one draw
     count = 1 if batch is None else batch
+    z = rng.standard_normal((count, 2 * n + 2, 2) + shape)
     coeffs = np.zeros((count, 2 * n + 2) + geo.box.shape, dtype=complex)
-    for b in range(count):
-        for c in range(2 * n + 2):
-            coeffs[(b, c) + idx] = (rng.standard_normal(shape)
-                                    + 1j * rng.standard_normal(shape))
+    coeffs[(slice(None), slice(None)) + idx] = z[:, :, 0] + 1j * z[:, :, 1]
     even = [0] + list(range(n + 1, 2 * n + 2))
     flip = (-k) % m  # normal-axis reflection
     coeffs[:, even] = 0.5 * (coeffs[:, even] + coeffs[:, even][..., flip])

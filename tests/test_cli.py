@@ -227,6 +227,15 @@ class TestScenarios:
         assert run_cli(["rbound", "--config", str(cfg)]) == 2
         assert f"invalid config: {key} = {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["trials", "m_max"])
+    def test_invalid_estimator_size_named(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "rbound", key: 0,
+                                   "points_per_axis": 16}))
+        assert run_cli(["rbound", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and key in err
+
     def test_solve_full_report(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -251,7 +260,11 @@ class TestScenarios:
                         "--out", str(tmp_path)])
         assert code == 0
         report = read_report(tmp_path, "rbound")
-        assert report["estimates"]["T_B"]["estimated_bound"] > 0
+        est = report["estimates"]["T_B"]
+        assert est["estimated_bound"] > 0
+        assert est["solves"] == 1  # 4 trials of at most 3 data in one
+        assert set(est["argmax_trial"]) == {"trial", "m", "lambdas"}
+        assert len(est["argmax_trial"]["lambdas"]) == est["argmax_trial"]["m"]
 
     def test_probe_csv(self, tmp_path):
         cfg = tmp_path / "c.json"

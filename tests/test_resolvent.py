@@ -508,6 +508,35 @@ class TestBatchedSolve:
             rv.solve_gamma_zero(data, lams, P, DC)
 
 
+class TestFieldKernel:
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_blocks_do_not_depend_on_the_cache(self, dim, m, batch):
+        # blocks of a fresh solution equal, bit for bit, those taken after
+        # residual_full has cached some of their fields; taking the blocks
+        # leaves every cached field as it was
+        geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
+        data = rv.random_full_data(geo, np.random.default_rng(31),
+                                   batch=batch)
+        lam = 30.0 * np.exp(0.8j) if batch is None else MIXED_LAMS[:batch]
+
+        def blocks(sol):
+            return list(sol.s_blocks()) + list(sol.t_blocks())
+
+        fresh = blocks(rv.solve_gamma_zero(data, lam, P, DC))
+        sol = rv.solve_gamma_zero(data, lam, P, DC)
+        rv.residual_full(sol, data)
+        before = {key: arr.copy() for key, arr in sol._cache.items()}
+        specs = [("rho", o) for t in (3, 2, 0) for o, _ in _orders(dim, t)]
+        specs += [(c, o) for t in (2, 1, 0) for c in range(dim)
+                  for o, _ in _orders(dim, t)]
+        assert 0 < sum(s in before for s in specs) < len(specs)
+        for got, ref in zip(blocks(sol), fresh):
+            assert np.array_equal(got, ref)
+        for (which, orders), arr in before.items():
+            assert np.array_equal(sol.field(which, orders), arr)
+
+
 class TestOneWholeSpaceMultiplier:
     """The whole part of the gamma = 0 solve is solve_whole on the
     extended data: both go through the same coefficient-space multiplier."""

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korteweg.errors import StepOutsideSector, ZeroDenominator
-from korteweg.model import MaterialParams, Sector, derive_constants
+from korteweg.model import (MaterialParams, Sector, derive_constants,
+                            radial_factors)
 from korteweg import resolvent as rv
 from korteweg import verification as vf
 
@@ -123,6 +124,34 @@ class TestEstimateRBound:
                                seed=1)
         assert b.estimated_bound >= a.estimated_bound
 
+    @pytest.mark.parametrize("key", ["trials", "m_max"])
+    def test_invalid_sizes_name_their_key(self, key):
+        with pytest.raises(ValueError, match=key):
+            vf.estimate_rbound("S_A", SEC, P, GEO, **{key: 0})
+
+    @pytest.mark.parametrize("family", ["S_A", "T_B_dlambda"])
+    def test_argmax_trial_and_solves(self, monkeypatch, family):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[1])
+            return rv.solve_gamma_zero(*args, **kwargs)
+
+        monkeypatch.setattr(vf, "solve_gamma_zero", counted)
+        est, ratios = vf.estimate_rbound(family, SEC, P, GEO, m_max=4,
+                                         trials=12, seed=3,
+                                         return_ratios=True)
+        arg = est.argmax_trial
+        assert ratios[arg["trial"]] == est.estimated_bound == max(ratios)
+        rng = np.random.default_rng((3, arg["trial"]))
+        m = int(rng.integers(1, 5))
+        lams = SEC.sample(rng, m, lam_hi=1e3)
+        assert arg["m"] == m
+        assert arg["lambdas"] == [[z.real, z.imag] for z in lams]
+        assert est.solves == len(solves)
+        out = est.to_json()
+        assert out["argmax_trial"] == arg and out["solves"] == est.solves
+
     def test_delta_floor_uniformity(self):
         # estimates stay within a factor 4 band as the lambda draws move
         # up two decades
@@ -215,3 +244,51 @@ def test_batched_stencil_checks_sector_before_solving(monkeypatch):
     with pytest.raises(StepOutsideSector):
         vf.family_apply("S_A_dlambda", data, lams, P, DC, Sector(0.5, 1.0))
     assert calls == []
+
+
+def trial_sizes(seed, trials, m_max):
+    return [int(np.random.default_rng((seed, t)).integers(1, m_max + 1))
+            for t in range(trials)]
+
+
+@pytest.mark.parametrize("family", vf.FAMILIES)
+@pytest.mark.parametrize("m_max", [3, 8])
+def test_solves_hold_at_most_one_dlambda_trial(monkeypatch, family, m_max):
+    # trials are packed greedily, in order, into solves of at most
+    # m_max * len(radial_factors()) (datum, lambda) pairs
+    sizes = []
+
+    def recorded(data, lam, *args, **kwargs):
+        sizes.append(int(np.prod(np.broadcast_shapes(
+            data.d.shape[:-GEO.dim], np.shape(lam)))))
+        return rv.solve_gamma_zero(data, lam, *args, **kwargs)
+
+    monkeypatch.setattr(vf, "solve_gamma_zero", recorded)
+    est = vf.estimate_rbound(family, SEC, P, GEO, m_max=m_max, trials=40,
+                             seed=2)
+    cap = m_max * len(radial_factors())
+    width = len(radial_factors()) if family.endswith("_dlambda") else 1
+    expected, load = [], 0
+    for m in trial_sizes(2, 40, m_max):
+        if load + width * m > cap:
+            expected.append(load)
+            load = 0
+        load += width * m
+    expected.append(load)
+    assert max(sizes) <= cap
+    assert sizes == expected and est.solves == len(sizes)
+
+
+@pytest.mark.parametrize("family", vf.FAMILIES)
+def test_trial_ratios_are_a_prefix(family):
+    # grouping follows the trial sequence only: a T-trial call gives the
+    # first T ratios of a longer call, bit for bit
+    for seed in range(4):
+        _, full = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
+                                     trials=14, seed=seed,
+                                     return_ratios=True)
+        for trials in (1, 3, 5):
+            _, part = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
+                                         trials=trials, seed=seed,
+                                         return_ratios=True)
+            assert part == full[:trials]
