@@ -14,12 +14,13 @@ public entry points only:
   certificate with its per-derivative detail;
 * every ``korteweg`` scenario at small sizes (validate; scan l1 with its
   CSV; certificates for p1 and l1; solve whole, half and full; rbound
-  T_B; probe as CSV), plus ``solve --kind full`` at 128^2: every file a
-  run writes, JSON reports without their timestamp, and its exit code.
+  T_B; probe as CSV), plus ``solve --kind full`` at 128^2 and
+  ``report`` at its defaults: every file a run writes, JSON reports
+  without their timestamp and section timings, and its exit code.
 
 Arrays are hashed by dtype, shape and bytes; everything else by its
 sorted JSON, whose floats round-trip exactly.  To compare two checkouts,
-run it in each and ``diff`` the outputs (about 30 s on one core):
+run it in each and ``diff`` the outputs (about 32 s on one core):
 
     python3 scripts/output_digests.py > digests.txt
 """
@@ -139,6 +140,7 @@ def cli_report(name, argv, config):
             if f.suffix == ".json":
                 report = json.loads(f.read_text())
                 report.pop("timestamp", None)
+                report.pop("seconds", None)
                 emit(f"cli/{name}/{f.name}", report)
             else:
                 emit(f"cli/{name}/{f.name}",
@@ -166,6 +168,7 @@ def cli_scenarios():
     cli_report("probe", ["probe", "--format", "csv"], {
         "params": dict(params, gamma=0.2), "lambdas": [1.0, 100.0],
         "points_per_axis": 16})
+    cli_report("report", ["report"], {"params": params})
 
 
 def main():

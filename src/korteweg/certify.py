@@ -148,13 +148,18 @@ SIGMA_STAR_BISECTIONS = 24
 
 def empirical_sigma_star(p: MaterialParams, target: str = "l1",
                          dc: DerivedConstants | None = None) -> float:
-    """Bisect the sector angle down to where the lower-bound scan degenerates.
+    """The floor angle sigma_w + 1e-4, unless the scan there degenerates.
 
-    The true threshold angle comes from a compactness argument and is not
-    constructive; this reports the smallest sampled angle (on
-    SIGMA_STAR_GRID, after SIGMA_STAR_BISECTIONS halvings) at which the
-    scan constant still exceeds SIGMA_STAR_FRAC times its wide-angle
-    reference.
+    Returns sigma_w + 1e-4 whenever the scan constant at that angle on
+    SIGMA_STAR_GRID exceeds SIGMA_STAR_FRAC times its reference at
+    pi/2 - 1e-3.  Only otherwise does it bisect (SIGMA_STAR_BISECTIONS
+    halvings) for the smallest sampled angle whose scan still exceeds
+    that threshold.  On every parameter set tried so far (the five
+    acceptance sets and four rejected ones) the floor scan is healthy,
+    so the bisection never runs.  The grid steps over the zero rays of
+    the Lopatinskii symbols that several of those sets have (for
+    example at pi - |arg z*| = 0.6688 on (2, 1, 1)), so the returned
+    angle is not a certified limiting angle.
     """
     dc = derive_constants(p) if dc is None else dc
     hi = math.pi / 2 - 1e-3
@@ -259,6 +264,8 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
     """
     if claimed_type not in (1, 2):
         raise ValueError("claimed_type must be 1 or 2")
+    if max_alpha < 0:
+        raise ValueError(f"max_alpha = {max_alpha} must be >= 0")
     grid = grid or GridSpec(20, 7, 20)
     xi_mod, lam = grid.points(sector)
     xi_vec = xi_mod[None, :]
@@ -289,14 +296,18 @@ def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
     """Certify registry symbols at sigma = empirical sigma* + 0.1.
 
     The angle is capped at 1.45 to stay inside (0, pi/2).  ``names``
-    defaults to the whole registry in sorted order; the grid is
-    ``certify_multiplier``'s default.  Returns (sigma_star, sector,
-    certificates).
+    defaults to the whole registry in sorted order, and a name outside
+    it is refused; the grid is ``certify_multiplier``'s default.
+    Returns (sigma_star, sector, certificates).
     """
     dc = derive_constants(p) if dc is None else dc
+    reg = symbol_registry(p, dc)
+    unknown = sorted(set(names or ()) - set(reg))
+    if unknown:
+        raise ValueError(f"unknown symbols {unknown}; the registry holds "
+                         f"{sorted(reg)}")
     sigma_star = empirical_sigma_star(p, "l1", dc=dc)
     sec = Sector(min(sigma_star + 0.1, 1.45), 0.0)
-    reg = symbol_registry(p, dc)
     certs = []
     for name in names or sorted(reg):
         fn, order, typ = reg[name]

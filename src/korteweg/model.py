@@ -133,13 +133,14 @@ class Sector:
         return mod * np.exp(1j * ang)
 
 
-def radial_factors(rel_step: float = LAM_REL_STEP):
-    """The radial difference factors 1 +- rel_step/2, then 1 +- rel_step."""
-    return (1 + rel_step / 2, 1 - rel_step / 2, 1 + rel_step, 1 - rel_step)
+def radial_factors():
+    """The radial difference factors 1 +- h/2, then 1 +- h, with
+    h = LAM_REL_STEP."""
+    h = LAM_REL_STEP
+    return (1 + h / 2, 1 - h / 2, 1 + h, 1 - h)
 
 
-def radial_stencil(lam, sector: Sector | None = None,
-                   rel_step: float = LAM_REL_STEP):
+def radial_stencil(lam, sector: Sector | None = None):
     """Each lam times the ``radial_factors``, on a trailing axis.
 
     The step direction lam/|lam| keeps the points at the same argument,
@@ -147,7 +148,7 @@ def radial_stencil(lam, sector: Sector | None = None,
     against ``sector``, when given, before any operator is applied.
     """
     points = (np.asarray(lam, dtype=complex)[..., None]
-              * np.array(radial_factors(rel_step)))
+              * np.array(radial_factors()))
     if sector is not None:
         for z in points.ravel():
             if not sector.contains(z):
@@ -160,11 +161,11 @@ def richardson(fine, coarse):
     return (4.0 * fine - coarse) / 3.0
 
 
-def lam_derivative(up_half, dn_half, up, dn, rel_step: float = LAM_REL_STEP):
+def lam_derivative(up_half, dn_half, up, dn):
     """lam d/dlam from values at lam times the four ``radial_factors``:
     central differences at both steps, Richardson-extrapolated once."""
-    return richardson((up_half - dn_half) / rel_step,
-                      (up - dn) / (2 * rel_step))
+    return richardson((up_half - dn_half) / LAM_REL_STEP,
+                      (up - dn) / (2 * LAM_REL_STEP))
 
 
 @dataclass(frozen=True)

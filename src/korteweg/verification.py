@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroDenominator
-from .model import (LAM_REL_STEP, DerivedConstants, MaterialParams, Sector,
+from .model import (DerivedConstants, MaterialParams, Sector,
                     derive_constants, lam_derivative, radial_factors,
                     radial_stencil)
 from .resolvent import (FullData, HalfGeometry, data_blocks,
@@ -86,17 +86,16 @@ def rademacher_ratio(outputs, inputs):
 # operator families
 # ---------------------------------------------------------------------------
 
-def lambda_derivative_family(apply_op, lam: complex, sector: Sector | None
-                             = None, rel_step: float = LAM_REL_STEP):
+def lambda_derivative_family(apply_op, lam: complex,
+                             sector: Sector | None = None):
     """lam d/dlam of an operator value by radial central differences.
 
     ``apply_op`` maps a scalar lam to a flat complex vector.  It runs at
     the ``model.radial_stencil`` points, all checked against ``sector``
     first, and ``model.lam_derivative`` combines the values.
     """
-    values = [apply_op(complex(z))
-              for z in radial_stencil(lam, sector, rel_step)]
-    return lam_derivative(*values, rel_step=rel_step)
+    values = [apply_op(complex(z)) for z in radial_stencil(lam, sector)]
+    return lam_derivative(*values)
 
 
 def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,

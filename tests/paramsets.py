@@ -4,8 +4,10 @@ Chosen so the pinned 40x9x40 scan grid resolves the sector landscape of
 both the boundary symbols l_j (at sigma_w + 0.2) and the whole-space
 polynomial (at sigma_w + 0.1 and pi/3).  Rejected examples and why:
 
-* (2, 1, 1): |l_j| has a narrow positive interior dip the grid cannot
-  track stably (56% refinement drift, a grid artifact);
+* (2, 1, 1): l1 and l2 have a true zero, on the rays arg lambda =
+  arg z* with pi - |arg z*| = 0.6688, inside the default scan sector
+  sigma_w + 0.2 = 0.2; the grid samples only the dip around it (56%
+  refinement drift), which is no grid artifact;
 * (1, 1, 4): sigma_w equals pi/3 exactly, so the pi/3 scan touches the
   degenerate angle;
 * (1, 2, 1), (1, 3, 1): near-rim P dip too narrow at sigma_w + 0.1

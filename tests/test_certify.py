@@ -131,6 +131,12 @@ class TestCertify:
             certify_multiplier(lambda xi, lam: lam, "x", 1.0, 3,
                                self.sector(), P)
 
+    def test_rejects_negative_max_alpha(self):
+        # no derivative order would be checked, leaving C = 0
+        with pytest.raises(ValueError, match="max_alpha"):
+            certify_multiplier(lambda xi, lam: lam, "x", 1.0, 1,
+                               self.sector(), P, max_alpha=-1)
+
 
 # registry entries that read no exponent
 ELEMENTARY = {"xi_j", "sqrt_lambda", "xi_sq", "lambda", "xi_over_abs"}
@@ -214,6 +220,11 @@ def test_certify_registry_is_the_sigma_star_sweep():
     fn, order, typ = symbol_registry(P, DC)["p1"]
     assert certs == [certify_multiplier(fn, "p1", order, typ, sec, P,
                                         max_alpha=1)]
+
+
+def test_certify_registry_refuses_unknown_names():
+    with pytest.raises(ValueError, match=r"unknown symbols \['nope'\]"):
+        certify_registry(P, DC, names=["p1", "nope"])
 
 
 @pytest.mark.parametrize("name", ["l1", "r2", "omega^-1"])

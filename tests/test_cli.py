@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -93,6 +94,7 @@ READS = {
                        "trials", "m_max", "seed", "format"},
     ("probe-contraction", None): {"points_per_axis", "lambdas", "seed",
                                   "format"},
+    ("report", None): set(),
 }
 ALL_KEYS = set().union(*READS.values())
 UNREAD = [(scenario, target, key) for (scenario, target), keys
@@ -106,7 +108,7 @@ def test_table_is_the_read_sets():
     assert rows(keys for _, keys in cli.SCENARIOS.values()) == rows(
         READS.values())
     assert sum(map(len, READS.values())) == 32
-    assert len(UNREAD) == 8 * len(ALL_KEYS) - 32
+    assert len(UNREAD) == 9 * len(ALL_KEYS) - 32
 
 
 @pytest.mark.parametrize("scenario,target,key", UNREAD)
@@ -307,3 +309,111 @@ def test_determinism_excluding_timestamp(tmp_path):
     ra.pop("timestamp")
     rb.pop("timestamp")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "solve-full", "lambda": "abc"},
+    {"scenario": "solve-full", "lambda": [1]},
+    {"scenario": "probe-contraction", "lambdas": 5},
+    {"scenario": "scan", "target": "certificates", "symbols": ["nope"]},
+    {"scenario": "scan", "target": "certificates", "symbols": "p1"},
+    {"scenario": "scan", "target": "l1", "grid": [1, 2]},
+    {"scenario": "scan", "target": "l1", "grid": {"n_foo": 3}},
+    {"scenario": "scan", "target": "l1", "grid": {"lam_hi": 10}},
+    {"scenario": "scan", "target": "certificates", "max_alpha": -1},
+    {"scenario": "rbound", "trials": math.inf},
+    {"scenario": "rbound", "family": 5},
+], ids=["lambda-str", "lambda-short", "lambdas-number", "symbols-unknown",
+        "symbols-str", "grid-list", "grid-n_foo", "grid-lam_hi",
+        "max_alpha-negative", "trials-inf", "family-number"])
+def test_malformed_value_exit_2_names_key(tmp_path, capsys, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([config["scenario"].split("-")[0], "--config",
+                    str(cfg)]) == 2
+    err = capsys.readouterr().err
+    key = next(k for k in config if k not in ("scenario", "target"))
+    assert "invalid config" in err and key in err
+
+
+def run_json(tmp_path, name, argv, config):
+    """Exit code and report (without timestamp) of one korteweg run."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / name
+    code = run_cli(argv + ["--config", str(cfg), "--out", str(out)])
+    reports = [json.loads(f.read_text()) for f in out.glob("*.json")]
+    assert len(reports) <= 1
+    for report in reports:
+        report.pop("timestamp")
+    return code, reports[0] if reports else None
+
+
+class TestReport:
+    PARAMS = {"mu": 1, "nu": 1, "kappa": 2, "gamma": 0.1}
+    TRIALS = 3
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("report")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "RBOUND_TRIALS", self.TRIALS)
+            runs = [run_json(tmp_path, f"run{i}", ["report"],
+                             {"params": self.PARAMS}) for i in (0, 1)]
+        assert [code for code, _ in runs] == [0, 0]
+        return [report for _, report in runs]
+
+    def test_deterministic_except_seconds(self, reports):
+        a, b = reports
+        assert set(a["seconds"]) == set(a) - {"seconds", "params",
+                                              "provenance"}
+        a.pop("seconds")
+        b.pop("seconds")
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_sections_are_the_single_scenarios(self, reports, tmp_path):
+        report = reports[0]
+        params = self.PARAMS
+
+        runs = itertools.count()
+
+        def single(argv, **config):
+            code, out = run_json(tmp_path, f"single{next(runs)}", argv,
+                                 dict(config, params=params))
+            assert code == 0
+            return out
+
+        assert report["derived"] == single(["validate"])["derived"]
+        sigma_w = report["derived"]["sigma_w"]
+        jobs = [{"target": "l1"}, {"target": "l2"},
+                {"target": "P", "sigma": sigma_w + 0.1},
+                {"target": "P", "sigma": math.pi / 3}]
+        assert len(report["scans"]) == len(jobs)
+        for job, section in zip(jobs, report["scans"]):
+            scan = single(["scan"], **job)
+            assert section["scan"] == scan["scan"]
+            assert section["refined"] == scan["refined"]
+        assert report["certificates"] == single(
+            ["scan", "--target", "certificates"])
+        trials = 2 * self.TRIALS
+        estimates = single(["rbound", "--trials", str(trials)])["estimates"]
+        assert {fam: s["estimate"] for fam, s in report["rbound"].items()} \
+            == estimates
+        assert report["solve"] == single(["solve"])
+        assert report["probe"] == single(["probe"])
+
+    def test_first_trials_are_the_short_estimate(self, reports, tmp_path):
+        code, short = run_json(tmp_path, "short", [
+            "rbound", "--trials", str(self.TRIALS)], {"params": self.PARAMS})
+        assert code == 0
+        for fam, est in short["estimates"].items():
+            first = reports[0]["rbound"][fam]["first_trials"]
+            assert first == {"trials": self.TRIALS,
+                             "estimated_bound": est["estimated_bound"],
+                             "argmax_trial": est["argmax_trial"]["trial"]}
+
+    def test_inadmissible_params_exit_2(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, "bad", ["report"],
+                             {"params": {"mu": 1, "nu": 1, "kappa": 1}})
+        assert code == 2 and out is None
+        assert "EtaVanishes" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from korteweg import model
 from korteweg.errors import StepOutsideSector, ZeroDenominator
 from korteweg.model import (MaterialParams, Sector, derive_constants,
                             radial_factors)
@@ -94,19 +95,20 @@ class TestLambdaDerivative:
         expect = 2 * lam ** 2 * v
         assert np.max(np.abs(out - expect)) < 1e-9 * np.max(np.abs(expect))
 
-    def test_step_independence(self):
+    def test_step_independence(self, monkeypatch):
         lam = 4.0 * np.exp(0.7j)
         f = lambda z: np.array([np.exp(z / 10)])  # noqa: E731
-        a = vf.lambda_derivative_family(f, lam, rel_step=1e-5)
-        b = vf.lambda_derivative_family(f, lam, rel_step=1e-6)
+        monkeypatch.setattr(model, "LAM_REL_STEP", 1e-5)
+        a = vf.lambda_derivative_family(f, lam)
+        monkeypatch.setattr(model, "LAM_REL_STEP", 1e-6)
+        b = vf.lambda_derivative_family(f, lam)
         assert np.abs(a - b) / np.abs(a) < 1e-7
 
     def test_sector_guard(self):
         sec = Sector(0.5, 1.0)
-        lam = 1.0001 + 0.0j  # just above the floor: steps dip below it
+        lam = 1.0 + 1e-6 + 0.0j  # just above the floor: steps dip below it
         with pytest.raises(StepOutsideSector):
-            vf.lambda_derivative_family(lambda z: np.array([z]), lam, sec,
-                                        rel_step=1e-3)
+            vf.lambda_derivative_family(lambda z: np.array([z]), lam, sec)
 
 
 class TestEstimateRBound:
