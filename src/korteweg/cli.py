@@ -420,7 +420,9 @@ REPORT = {
     "certificates": (CERTIFICATES, lambda c: _run_certificates(c).payload),
     "rbound": ("rbound", _report_rbound),
     "solve": ("solve-full", lambda c: _run_solve_full(c).payload),
-    "probe": ("probe-contraction", lambda c: _run_probe(c).payload),
+    # the probe says nothing at gamma = 0 (contraction_probe refuses it)
+    "probe": ("probe-contraction",
+              lambda c: _run_probe(c).payload if c.params.gamma else None),
 }
 
 
@@ -438,7 +440,7 @@ def _run_report(cfg: ScenarioConfig) -> Output:
         start = time.perf_counter()
         payload[name] = section(sub)
         payload["seconds"][name] = time.perf_counter() - start
-        if scenario in POINTS_PER_AXIS:
+        if scenario in POINTS_PER_AXIS and payload[name] is not None:
             geo = _geometry(sub)
             sizes[name] = {"points_per_axis": geo.points_per_axis,
                            "height": geo.height, "seed": sub.seed}

@@ -176,10 +176,8 @@ class ManufacturedPair:
     def random(cls, grid: TangentialGrid, lam: complex,
                dc: DerivedConstants, p: MaterialParams, rng,
                kmax: int = 6, layer_amplitude: float = 0.5,
-               with_bump: bool = True,
                with_layer: bool = True) -> "ManufacturedPair":
-        bump = InteriorBump.random(grid, rng, kmax=kmax) if with_bump \
-            else None
+        bump = InteriorBump.random(grid, rng, kmax=kmax)
         layer = manufactured_boundary_modes(grid, lam, dc, p, rng,
                                             kmax=kmax,
                                             amplitude=layer_amplitude) \

@@ -19,7 +19,6 @@ arg((mu+nu)/(2 kappa) + i sqrt(|eta_w|)) otherwise.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -118,8 +117,6 @@ class Sector:
     def contains(self, lam: complex) -> bool:
         lam = complex(lam)
         if abs(lam) <= self.delta:
-            return False
-        if lam == 0:
             return False
         return abs(cmath.phase(lam)) < math.pi - self.sigma
 
@@ -227,20 +224,6 @@ def derive_constants(p: MaterialParams) -> DerivedConstants:
 def _d(n: int, *axes) -> tuple:
     """Derivative count-vector of one derivative along each listed axis."""
     return tuple(axes.count(a) for a in range(n))
-
-
-def _orders(n: int, total: int):
-    """Each derivative count-vector of the given total order, once.
-
-    Yields (orders, root): root is the square root of the number of
-    ordered index tuples that give the same derivative.
-    """
-    for combo in itertools.product(range(total + 1), repeat=n):
-        if sum(combo) == total:
-            count = math.factorial(total)
-            for c in combo:
-                count //= math.factorial(c)
-            yield combo, math.sqrt(count)
 
 
 def interior_rows(D, lam, p: MaterialParams, n: int, gamma: float):

@@ -17,18 +17,24 @@ corrector's channel table.  ``solve_general`` builds one per call and
 every Neumann iterate shares it.  The data norm transforms only the data
 fields that are not identically zero.
 
-Every solution field comes from one kernel, ``PipelineSolution._evaluate``:
-a list of (which, orders) specs becomes one fresh stack.  Cached specs
-are copied in; each other (field, normal order) slot is
-inverse-transformed along the normal axis alone and restricted into its
-row, and those rows are transformed along the tangential axes in place.
-``field`` caches its row; the norm blocks are consecutive rows of one
-stack, scaled in place and never cached.
+The solution operators act one tangential mode at a time, so norms and
+residual rows are taken per mode.  A row is the k-th normal derivative
+of a field on the half grid, in tangential-frequency space, and one
+kernel, ``normal_row``, makes it from box coefficients: (i k_N)^k, one
+inverse transform along the normal axis, ``restrict``.  A solution row
+adds the corrector sample (``PipelineSolution.row``, cached per field
+and k); a data row of g or h starts from its even extension
+(``data_rows``).  A block of total order t weights row k by
+sqrt(C(t, k)) |xi'|^(t - k), so by Parseval over the tangential modes
+its norm is that of the full order-t derivative tensor
+(``HalfGeometry.block_sq``).  The blocks take no tangential inverse
+transform; ``field`` and ``residual_full`` take one per field or
+residual row.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +42,8 @@ import numpy as np
 from .errors import GridMismatch, NeumannDiverged
 from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
-from .model import (DerivedConstants, MaterialParams, _d, _orders,
-                    boundary_rows, derive_constants, interior_rows,
-                    mode_derivative)
+from .model import (DerivedConstants, MaterialParams, _d, boundary_rows,
+                    derive_constants, interior_rows, mode_derivative)
 from .symbols import lam_axes
 from .wholespace import BoxGrid, apply_whole, whole_multipliers
 
@@ -105,30 +110,41 @@ class HalfGeometry:
         w[-1] *= 0.5
         return w
 
+    def mode_weights(self):
+        """Quadrature weights of a per-mode block: the normal trapezoid
+        times (period / m^2)^(dim - 1), the tangential Parseval factor of
+        an unnormalized transform."""
+        tangential = (self.period / self.points_per_axis ** 2) ** (
+            self.dim - 1)
+        return self.normal_weights() * tangential
+
     def block_sq(self, blocks) -> float:
-        """Sum of squared half-box L2 norms over a sequence of blocks.
+        """Sum of squared half-box L2 norms over a sequence of per-mode
+        blocks.
 
         The leading (component and batch) axes of each block are summed.
         """
-        w = self.normal_weights() * self.tangential.cell_measure()
+        w = self.mode_weights()
         return sum(float(np.sum(np.abs(b) ** 2 * w)) for b in blocks)
 
     def member_sq(self, blocks):
         """Squared half-box L2 norm of each batch member, summed over a
-        sequence of blocks: one value per index of the member axis, the
-        axis just before the spatial axes.
+        sequence of per-mode blocks: one value per index of the member
+        axis, the axis just before the spatial axes.
 
         Each member is summed alone, so its value does not depend on the
         other members of the batch.
         """
-        w = self.normal_weights() * self.tangential.cell_measure()
+        w = self.mode_weights()
         axis = -self.dim - 1
         return sum(np.moveaxis(np.abs(b) ** 2 * w, axis, 0).reshape(
             b.shape[axis], -1).sum(axis=1) for b in blocks)
 
     def half_l2(self, arr) -> float:
-        """L2 over the half box; leading axes are components."""
-        return float(np.sqrt(self.block_sq([arr])))
+        """L2 of a physical field over the half box; leading axes are
+        components."""
+        w = self.normal_weights() * self.tangential.cell_measure()
+        return float(np.sqrt(np.sum(np.abs(arr) ** 2 * w)))
 
 
 @dataclass
@@ -207,12 +223,45 @@ def extend_zero(geometry: HalfGeometry, arr):
     return out
 
 
-def restrict(geometry: HalfGeometry, arr, out=None):
-    """Restriction of a doubled-box field to the half grid (into ``out``
-    when given)."""
+def restrict(geometry: HalfGeometry, arr):
+    """Restriction of a doubled-box field to the half grid."""
     m = geometry.points_per_axis
-    return np.concatenate([arr[..., m // 2:], arr[..., :1]], axis=-1,
-                          out=out)
+    return np.concatenate([arr[..., m // 2:], arr[..., :1]], axis=-1)
+
+
+def _normal_hat(geometry: HalfGeometry, coeff, k):
+    """Box coefficients times (i k_N)^k along the last (normal) axis, a
+    fresh array unless k = 0."""
+    return coeff * (1j * geometry.box.freq_1d()) ** k if k else coeff
+
+
+def normal_row(geometry: HalfGeometry, coeff, k):
+    """The k-th normal derivative of a field with box coefficients
+    ``coeff`` (any leading axes), on the half grid, per tangential mode:
+    one inverse transform along the normal axis, then ``restrict``."""
+    hat = _normal_hat(geometry, coeff, k)
+    # a normal derivative is a fresh array: transform in place
+    return restrict(geometry, np.fft.ifft(hat, axis=-1,
+                                          out=hat if k else None))
+
+
+def mode_block(geometry: HalfGeometry, rows, total):
+    """The block of total order ``total`` from ``rows[k][c]``, the k-th
+    normal derivative of component c per tangential mode.
+
+    Row k is weighted by sqrt(C(total, k)) |xi'|^(total - k), and the
+    block has shape (total + 1, components) + row shape: by Parseval over
+    the tangential modes its norm is that of the full derivative tensor,
+    every ordered index tuple counted.
+    """
+    abs_xi = np.sqrt(geometry.tangential.xi_sq())[..., None]
+    block = np.empty((total + 1, len(rows[0])) + rows[0][0].shape,
+                     dtype=complex)
+    for k in range(total + 1):
+        weight = math.sqrt(math.comb(total, k)) * abs_xi ** (total - k)
+        for c, row in enumerate(rows[k]):
+            np.multiply(row, weight, out=block[k, c])
+    return block
 
 
 class _WholePart:
@@ -222,21 +271,10 @@ class _WholePart:
         self.geometry = geometry
         self.rho_hat = rho_hat
         self.u_hat = u_hat
-        self._ik = 1j * geometry.box.freq_1d()
         # the boundary z = 0 sits at sample index m/2 of the box axis
         # [-H, H), i.e. at the alternating-phase sum of the coefficients
         m = geometry.points_per_axis
         self._trace_phase = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) / m
-
-    def _deriv_hat(self, coeff, orders):
-        """Multiply by (i xi_axis)^k per axis, each a 1-D factor broadcast
-        along its axis of the box."""
-        out = coeff
-        for axis, k in enumerate(orders):
-            if k:
-                out = out * (self._ik ** k).reshape(
-                    (-1,) + (1,) * (len(orders) - 1 - axis))
-        return out
 
     def coeff(self, which):
         return self.rho_hat if which == "rho" else self.u_hat[which]
@@ -244,8 +282,7 @@ class _WholePart:
     def trace_hat(self, which, k):
         """Tangential coefficients of the k-th normal derivative of 'rho'
         or of a velocity component at the boundary."""
-        normal = (0,) * (self.geometry.dim - 1) + (k,)
-        hat = self._deriv_hat(self.coeff(which), normal)
+        hat = _normal_hat(self.geometry, self.coeff(which), k)
         return (hat * self._trace_phase).sum(axis=-1)
 
 
@@ -262,66 +299,33 @@ class PipelineSolution:
     params: MaterialParams
     whole: _WholePart
     corrector: ReducedSolution
-    _cache: dict = field(default_factory=dict)
+    _rows: dict = field(default_factory=dict)
 
-    def _evaluate(self, specs):
-        """The (which, orders) fields of ``specs`` as one fresh stack, row
-        i holding spec i.
-
-        A row whose spec is cached is copied from the cache.  Tangential
-        derivatives commute with the normal-axis inverse, so each other
-        (field, normal order) slot goes through that inverse alone,
-        straight into the half grid of the first row that reads it, where
-        the corrector sample joins it; later rows of the slot copy that
-        row.  These rows take their tangential factors in place, and each
-        run of them is transformed along the tangential axes in place.
-        """
-        geo = self.geometry
-        whole, corr = self.whole, self.corrector
-        normal = (0,) * (geo.dim - 1)
-        xi = geo.tangential.xi_mesh()
-        out = np.empty((len(specs),) + whole.rho_hat.shape[:-geo.dim]
-                       + geo.half_shape, dtype=complex)
-        first = {}
-        for i, (which, orders) in enumerate(specs):
-            slot = (which, orders[-1])
-            if (which, orders) in self._cache:
-                out[i] = self._cache[(which, orders)]
-            elif slot in first:
-                out[i] = out[first[slot]]
-            else:
-                hat = whole._deriv_hat(whole.coeff(which),
-                                       normal + orders[-1:])
-                # a normal derivative is a fresh array: transform in place
-                restrict(geo, np.fft.ifft(hat, axis=-1,
-                                          out=hat if orders[-1] else None),
-                         out=out[i])
-                out[i] += corr.sample(*slot)
-                first[slot] = i
-        start = 0
-        for fresh, run in itertools.groupby(
-                specs, key=lambda spec: spec not in self._cache):
-            run = list(run)
-            rows = out[start:start + len(run)]
-            start += len(run)
-            if not fresh:
-                continue
-            for row, (_, orders) in zip(rows, run):
-                for axis, k in enumerate(orders[:-1]):
-                    if k:
-                        row *= (1j * xi[axis][..., None]) ** k
-            np.fft.ifftn(rows, axes=geo.tangential.field_axes, out=rows)
-        return out
+    def row(self, which, k: int = 0):
+        """The k-th normal derivative of 'rho' or of a velocity component
+        per tangential mode on the half grid: the whole part's
+        ``normal_row`` plus the corrector sample, cached."""
+        key = (which, k)
+        if key not in self._rows:
+            row = normal_row(self.geometry, self.whole.coeff(which), k)
+            row += self.corrector.sample(which, k)
+            self._rows[key] = row
+        return self._rows[key]
 
     def field(self, which, orders=None):
         """A derivative of 'rho' or of a velocity component on the half grid.
 
-        ``orders`` counts the derivatives per axis (none by default).
+        ``orders`` counts the derivatives per axis (none by default): the
+        row of the normal order times the tangential factors, transformed
+        along the tangential axes.
         """
-        key = (which, tuple(orders or (0,) * self.geometry.dim))
-        if key not in self._cache:
-            self._cache[key] = self._evaluate([key])[0]
-        return self._cache[key]
+        geo = self.geometry
+        orders = tuple(orders or (0,) * geo.dim)
+        out = self.row(which, orders[-1]).copy()
+        for x, k in zip(geo.tangential.xi_mesh(), orders[:-1]):
+            if k:
+                out *= (1j * x[..., None]) ** k
+        return np.fft.ifftn(out, axes=geo.tangential.field_axes, out=out)
 
     def rho(self):
         return self.field("rho")
@@ -337,41 +341,25 @@ class PipelineSolution:
         return lam_axes(np.asarray(self.lam, dtype=complex),
                         self.geometry.dim)
 
-    def _blocks(self, comps, totals):
-        """One block per total order: each distinct derivative of each
-        component, rows scaled by the root of their multiplicity, so a
-        block's norm is the norm of the full derivative tensor.
-
-        The blocks are consecutive rows of one ``_evaluate`` stack.
-        """
-        rows = [[(c, o, root) for c in comps
-                 for o, root in _orders(self.geometry.dim, total)]
-                for total in totals]
-        stack = self._evaluate([(c, o) for block in rows
-                                for c, o, _ in block])
-        out, start = [], 0
-        for block in rows:
-            arr = stack[start:start + len(block)]
-            start += len(block)
-            roots = np.array([root for _, _, root in block])
-            out.append(np.multiply(
-                roots.reshape((-1,) + (1,) * (arr.ndim - 1)), arr, out=arr))
-        return out
+    def _blocks(self, comps, top):
+        """The ``mode_block``s of total order top and top - 1 from the rows
+        of ``comps``, the second scaled by sqrt(lam), and lam times the
+        rows themselves."""
+        lam = self._lam()
+        rows = [[self.row(c, k) for c in comps] for k in range(top + 1)]
+        lower = mode_block(self.geometry, rows, top - 1)
+        lower *= np.sqrt(lam)
+        return (mode_block(self.geometry, rows, top), lower,
+                np.stack([lam * row for row in rows[0]]))
 
     def s_blocks(self):
-        """(third gradient, sqrt(lam) second gradient, lam rho) stacked."""
-        lam = self._lam()
-        third, second, zeroth = self._blocks(["rho"], (3, 2, 0))
-        return (third, np.multiply(np.sqrt(lam), second, out=second),
-                np.multiply(lam, zeroth[0], out=zeroth[0]))
+        """(third gradient, sqrt(lam) second gradient, lam rho) per mode."""
+        third, second, zeroth = self._blocks(["rho"], 3)
+        return third, second, zeroth[0]
 
     def t_blocks(self):
-        """(second gradient, sqrt(lam) gradient, lam u) stacked."""
-        lam = self._lam()
-        second, first, zeroth = self._blocks(range(self.geometry.dim),
-                                             (2, 1, 0))
-        return (second, np.multiply(np.sqrt(lam), first, out=first),
-                np.multiply(lam, zeroth, out=zeroth))
+        """(second gradient, sqrt(lam) gradient, lam u) per mode."""
+        return self._blocks(range(self.geometry.dim), 2)
 
     def output_norm(self) -> float:
         blocks = list(self.s_blocks()) + list(self.t_blocks())
@@ -434,65 +422,50 @@ def fx_norm(data: FullData, lam: complex) -> float:
 
 
 def data_blocks(data: FullData, lam: complex):
-    """The weighted data tuple as a list of arrays (lam may be a batch).
+    """The weighted data tuple as a list of per-mode blocks (lam may be a
+    batch).
 
     Blocks: d, f, grad g, |lam|^{1/2} g, second gradient of h,
-    |lam|^{1/2} grad h, lam h.  The derivatives are laid out as the
-    solution blocks are: each distinct one once, scaled by the root of
-    its multiplicity, so a block's norm is the full tensor's.
+    |lam|^{1/2} grad h, lam h, all from the rows of ``data_rows``: d
+    and f are their tangential transforms, and the gradients are
+    ``mode_block``s, as the solution blocks are.
     """
     geo = data.geometry
     lam = lam_axes(lam, geo.dim)
     sq = np.sqrt(np.abs(lam))
-    (grad_g,) = _derivative_blocks(geo, data.g, (1,))
-    hess_h, grad_h = _derivative_blocks(geo, data.h[None], (2, 1))
-    return [data.d, data.f, grad_g, sq * data.g, hess_h, sq * grad_h,
-            lam * data.h]
+    (d_hat,) = data_rows(geo, data.d[None])
+    (f_hat,) = data_rows(geo, data.f)
+    g_rows = data_rows(geo, data.g, 1)
+    h_rows = data_rows(geo, data.h[None], 2)
+    grad_h = mode_block(geo, h_rows, 1)
+    grad_h *= sq
+    return [d_hat[0], f_hat, mode_block(geo, g_rows, 1), sq * g_rows[0],
+            mode_block(geo, h_rows, 2), grad_h, lam * h_rows[0][0]]
 
 
-def _derivative_blocks(geo: HalfGeometry, fields, totals):
-    """One block per total order: each distinct derivative of a stack of
-    half-space data fields (component axis first), rows scaled by the
-    root of their multiplicity.
+def data_rows(geo: HalfGeometry, fields, top: int = 0):
+    """Per-mode rows of a stack of half-space data fields (component axis
+    first): row k, k = 0 .. top, is the k-th normal derivative.
 
-    Normal derivatives are spectral on the even extension (the data
-    generators keep it smooth): one forward transform per field, one
-    inverse per normal order.  Tangential factors multiply the
-    tangential coefficients; pure-normal entries skip those transforms.
-    A field that is identically zero is not transformed: its rows are
-    zeros (every Neumann increment and every G output has zero h and
-    zero tangential g).
+    Row 0 is the tangential transform of each field.  Higher rows come
+    from ``normal_row`` on the box coefficients of its even extension
+    (the data generators keep that extension smooth).  A field that is
+    identically zero is not transformed: its rows are zeros (every
+    Neumann increment and every G output has zero d, zero h and zero
+    tangential g).
     """
     live = [i for i in range(len(fields)) if np.any(fields[i])]
-    if len(live) < len(fields):
-        out = [np.zeros((len(list(_orders(geo.dim, t))),) + fields.shape,
-                        dtype=complex) for t in totals]
-        if live:
-            for block, rows in zip(out, _derivative_blocks(
-                    geo, fields[live], totals)):
-                block[:, live] = rows
-        return out
-    axes = geo.tangential.field_axes
-    xi = geo.tangential.xi_mesh()
-    k_n = 1j * geo.box.freq_1d()
-    ext_hat = np.fft.fft(extend_even(geo, fields), axis=-1)
-    normal = [fields] + [restrict(geo, np.fft.ifft(k_n ** k * ext_hat,
-                                                   axis=-1))
-                         for k in range(1, max(totals) + 1)]
-    hats = [np.fft.fftn(f, axes=axes) for f in normal[:-1]]
-
-    def entry(orders):
-        *tangential, k = orders
-        if not any(tangential):
-            return normal[k]
-        hat = hats[k]
-        for x, j in zip(xi, tangential):
-            if j:
-                hat = hat * (1j * x[..., None]) ** j
-        return np.fft.ifftn(hat, axes=axes)
-
-    return [np.stack([root * entry(o) for o, root in _orders(geo.dim, t)])
-            for t in totals]
+    part = fields if len(live) == len(fields) else fields[live]
+    rows = [np.fft.fftn(part, axes=geo.tangential.field_axes)]
+    if top:
+        coeff = np.fft.fft(extend_even(geo, rows[0]), axis=-1)
+        rows += [normal_row(geo, coeff, k) for k in range(1, top + 1)]
+    if part is fields:
+        return rows
+    out = [np.zeros(fields.shape, dtype=complex) for _ in rows]
+    for full, row in zip(out, rows):
+        full[live] = row
+    return out
 
 
 @dataclass
@@ -588,7 +561,14 @@ def one_step_ratio(data: FullData, lam: complex, p: MaterialParams,
 
 def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
                       lambda_list, seed: int = 0):
-    """Empirical one-application ratios on random unit data, per lambda."""
+    """Empirical one-application ratios on random unit data, per lambda.
+
+    G is gamma times a map of the data, so at gamma = 0 every ratio is 0
+    and says nothing: that is refused.
+    """
+    if p.gamma == 0.0:
+        raise ValueError("the contraction probe needs params.gamma != 0; "
+                         "G vanishes at gamma = 0")
     dc = derive_constants(p)
     rows = []
     for lam in lambda_list:
@@ -600,10 +580,15 @@ def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
 
 def auto_lambda0(p: MaterialParams, geometry: HalfGeometry,
                  seed: int = 0) -> float:
-    """Double the modulus floor until one G-application contracts.
+    """The first modulus floor, LAMBDA0_START doubled as often as
+    needed, at which one G-application on one random datum contracts to
+    a ratio of at most LAMBDA0_TARGET.
 
-    The true threshold depends on unobservable constants; locating the
-    contraction empirically is the honest substitute.
+    The ratio scales linearly in gamma, so for moderate gamma the first
+    test passes and the result is LAMBDA0_START itself (0.5 for gamma
+    0.05 to 0.5 on the reference parameters, ratios 0.021 to 0.21): a
+    floor at which the iteration is seen to contract, not an estimate
+    of the perturbation threshold.
     """
     dc = derive_constants(p)
     rng = np.random.default_rng(seed)
@@ -679,24 +664,35 @@ def residual_full(sol: PipelineSolution, data: FullData,
                   gamma: float | None = None) -> FullResidual:
     """Max-norm residuals of all four rows with the gamma term included.
 
-    For a batched solution each row is the maximum over the members.
+    Each row is assembled per tangential mode from the solution's rows
+    and takes one tangential inverse transform.  For a batched solution
+    each row is the maximum over the members.
     """
     p = sol.params
     gamma = p.gamma if gamma is None else gamma
+    tan = sol.geometry.tangential
     n = sol.geometry.dim
-    mass, momentum = interior_rows(sol.field, sol._lam(), p, n, gamma)
+    xi = tan.xi_mesh()
+    mass, momentum = interior_rows(
+        mode_derivative(tuple(x[..., None] for x in xi), sol.row),
+        sol._lam(), p, n, gamma)
     # boundary rows at the first normal sample
-    stress, neumann = boundary_rows(lambda w, o: sol.field(w, o)[..., 0],
-                                    p, n, gamma)
+    stress, neumann = boundary_rows(
+        mode_derivative(xi, lambda w, k: sol.row(w, k)[..., 0]), p, n,
+        gamma)
 
-    def worst(rows, rhs):
-        return max(float(np.max(np.abs(r - d))) for r, d in zip(rows, rhs))
+    def worst(rows, rhs, ifft):
+        return max(float(np.max(np.abs(ifft(r) - d)))
+                   for r, d in zip(rows, rhs))
+
+    def interior(row):
+        return np.fft.ifftn(row, axes=tan.field_axes)
 
     scale = max(float(np.max(np.abs(data.d))), float(np.max(np.abs(data.f))),
                 float(np.max(np.abs(data.g))), float(np.max(np.abs(data.h))),
                 1e-300)
-    return FullResidual(mass=worst([mass], [data.d]),
-                        momentum=worst(momentum, data.f),
-                        stress=worst(stress, data.g[..., 0]),
-                        neumann=worst([neumann], [data.h[..., 0]]),
+    return FullResidual(mass=worst([mass], [data.d], interior),
+                        momentum=worst(momentum, data.f, interior),
+                        stress=worst(stress, data.g[..., 0], tan.ifft),
+                        neumann=worst([neumann], [data.h[..., 0]], tan.ifft),
                         data_scale=scale)

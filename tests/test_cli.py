@@ -281,6 +281,20 @@ class TestScenarios:
         assert lines[0] == "abs_lambda,ratio"
         assert len(lines) == 3
 
+    def test_probe_gamma_zero_exit_2(self, tmp_path, capsys):
+        # G vanishes with gamma: every ratio would be 0, so it is refused
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "probe-contraction",
+            "params": {"mu": 1, "nu": 1, "kappa": 2, "gamma": 0.0},
+            "lambdas": [1.0, 100.0], "points_per_axis": 16}))
+        code = run_cli(["probe", "--config", str(cfg), "--out",
+                        str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "params.gamma" in err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -411,6 +425,15 @@ class TestReport:
             assert first == {"trials": self.TRIALS,
                              "estimated_bound": est["estimated_bound"],
                              "argmax_trial": est["argmax_trial"]["trial"]}
+
+    def test_gamma_zero_probe_is_null(self, tmp_path, monkeypatch):
+        # the probe refuses gamma = 0, and the report writes null for it
+        monkeypatch.setattr(cli, "REPORT", {"probe": cli.REPORT["probe"]})
+        code, report = run_json(tmp_path, "gamma0", ["report"], {
+            "params": {"mu": 1, "nu": 1, "kappa": 2}})
+        assert code == 0
+        assert report["probe"] is None
+        assert report["provenance"]["sizes"] == {}
 
     def test_inadmissible_params_exit_2(self, tmp_path, capsys):
         code, out = run_json(tmp_path, "bad", ["report"],

@@ -8,7 +8,7 @@ import pytest
 from korteweg import halfspace as hs
 from korteweg.errors import (GridMismatch, LambdaOutsideSector,
                              NeumannDiverged, SingularLopatinskii)
-from korteweg.model import MaterialParams, _orders, derive_constants
+from korteweg.model import MaterialParams, derive_constants
 from korteweg import resolvent as rv
 from korteweg.halfspace import solve_reduced_hat
 from korteweg.manufactured import (ManufacturedPair, manufactured_data,
@@ -20,6 +20,16 @@ from korteweg.wholespace import solve_whole
 P = MaterialParams(1.0, 1.0, 2.0)
 DC = derive_constants(P)
 GEO = rv.HalfGeometry(dim=2, points_per_axis=128, height=10.0)
+
+
+def tensor_sq(geo, derivative, total, weight=1.0):
+    """Squared norm of the order-``total`` derivative tensor: the physical
+    field ``derivative(orders)`` for every ordered index tuple, by
+    half_l2."""
+    n = geo.dim
+    return sum(geo.half_l2(weight * derivative(
+        tuple(idx.count(a) for a in range(n)))) ** 2
+        for idx in itertools.product(range(n), repeat=total))
 
 
 def manufactured_case(geo, lam, rng, gamma=0.0, with_layer=True,
@@ -141,7 +151,7 @@ class TestGammaZeroPipeline:
         sol.s_blocks()
         sol.t_blocks()
         rv.residual_full(sol, data)
-        asked = {(which, orders[-1]) for which, orders in sol._cache}
+        asked = set(sol._rows)
         assert asked == ({("rho", k) for k in range(4)}
                          | {(c, k) for c in range(dim) for k in range(3)})
         red = sol.corrector
@@ -279,10 +289,14 @@ class TestGammaPerturbation:
 
 class TestContractionProbe:
     def test_gamma_zero_ratios_vanish(self):
+        # G vanishes with gamma, so every ratio is 0 and the probe, which
+        # could only report those zeros, refuses gamma = 0
         p0 = MaterialParams(1, 1, 2, gamma=0.0)
         geo = rv.HalfGeometry(dim=2, points_per_axis=32)
-        rows = rv.contraction_probe(p0, geo, [1.0, 10.0], seed=1)
-        assert all(r == 0.0 for _, r in rows)
+        data = rv.random_full_data(geo, np.random.default_rng(1))
+        assert rv.one_step_ratio(data, 10.0 + 0j, p0) == 0.0
+        with pytest.raises(ValueError, match="params.gamma"):
+            rv.contraction_probe(p0, geo, [1.0, 10.0], seed=1)
 
     def test_gamma_linearity(self):
         geo = rv.HalfGeometry(dim=2, points_per_axis=32)
@@ -316,8 +330,7 @@ def test_fx_norm_block_composition():
     only_h = rv.FullData.zeros(GEO)
     only_h.h = data.h.copy()
     blocks = rv.data_blocks(only_h, 1.0)
-    hess, grad_h, h = (GEO.half_l2(blocks[4]), GEO.half_l2(blocks[5]),
-                       GEO.half_l2(blocks[6]))
+    hess, grad_h, h = (np.sqrt(GEO.block_sq([b])) for b in blocks[4:])
     for lam in (1.0, 100.0, 1e6):
         expect = np.sqrt(hess ** 2 + lam * grad_h ** 2 + lam ** 2 * h ** 2)
         assert rv.fx_norm(only_h, lam) == pytest.approx(expect, rel=1e-12)
@@ -354,11 +367,11 @@ class TestDataDerivatives:
         data.h = self.analytic(grid, phases, (0,) * dim) + 0j
         blocks = rv.data_blocks(data, 1.0)
         for block, total in ((blocks[4], 2), (blocks[5], 1)):
-            rows = list(_orders(dim, total))
-            assert block.shape == (len(rows), 1) + geo.half_shape
-            for got, (orders, root) in zip(block, rows):
-                ref = root * self.analytic(grid, phases, orders)
-                assert np.max(np.abs(got[0] - ref)) <= 1e-12
+            assert block.shape == (total + 1, 1) + geo.half_shape
+            got = np.sqrt(geo.block_sq([block]))
+            ref = np.sqrt(tensor_sq(
+                geo, lambda o: self.analytic(grid, phases, o), total))
+            assert abs(got - ref) <= 1e-12 * ref
 
     @staticmethod
     def box_derivative(geo, h, counts):
@@ -373,40 +386,56 @@ class TestDataDerivatives:
     @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_hessian_norm_is_full_tensor_norm(self, dim, m, batch):
+        # every data block against physical references: d, f, grad g,
+        # |lam|^{1/2} g, the second gradient of h, |lam|^{1/2} grad h and
+        # lam h, the derivatives one ordered index tuple at a time
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(25),
                                    batch=batch)
-        n = geo.dim
-        got = np.sqrt(geo.block_sq([rv.data_blocks(data, 1.0)[4]]))
-        ref = np.sqrt(sum(
-            geo.block_sq([self.box_derivative(
-                geo, data.h, tuple(idx.count(a) for a in range(n)))])
-            for idx in itertools.product(range(n), repeat=2)))
-        assert abs(got - ref) <= 1e-13 * ref
+        lam = 3.0 + 4.0j
+        sq = np.sqrt(abs(lam))
+        blocks = rv.data_blocks(data, lam)
+
+        def g(orders):
+            return self.box_derivative(geo, data.g, orders)
+
+        def h(orders):
+            return self.box_derivative(geo, data.h, orders)
+
+        refs = [geo.half_l2(data.d) ** 2, geo.half_l2(data.f) ** 2,
+                tensor_sq(geo, g, 1), tensor_sq(geo, g, 0, sq),
+                tensor_sq(geo, h, 2), tensor_sq(geo, h, 1, sq),
+                geo.half_l2(lam * data.h) ** 2]
+        for block, ref_sq in zip(blocks, refs, strict=True):
+            got, ref = np.sqrt(geo.block_sq([block])), np.sqrt(ref_sq)
+            assert abs(got - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
     def test_zero_field_is_not_transformed(self, dim, m, monkeypatch):
         # the rows of a zero field are exact zeros, the other rows are
-        # the blocks of the stack without it, and only the nonzero
-        # fields reach the forward transforms
+        # the rows of the stack without it, and only the nonzero fields
+        # reach the forward transforms
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(26))
         a, b = data.h, data.d
-        dense = rv._derivative_blocks(geo, np.stack([a, b]), (2, 1))
+        dense = [rv.data_rows(geo, np.stack([a, b]), top)
+                 for top in (0, 2)]
         sizes = []
-        fft = np.fft.fft
+        fftn = np.fft.fftn
 
-        def counted_fft(arr, *args, **kwargs):
+        def counted_fftn(arr, *args, **kwargs):
             sizes.append(np.shape(arr)[0])
-            return fft(arr, *args, **kwargs)
+            return fftn(arr, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counted_fft)
-        skipped = rv._derivative_blocks(
-            geo, np.stack([a, np.zeros_like(a), b]), (2, 1))
-        assert sizes == [2]  # the one forward normal transform
-        for got, ref in zip(skipped, dense):
-            assert np.array_equal(got[:, [0, 2]], ref)
-            assert got[:, 1].dtype == complex and not np.any(got[:, 1])
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        skipped = [rv.data_rows(geo, np.stack([a, np.zeros_like(a), b]), top)
+                   for top in (0, 2)]
+        assert sizes == [2, 2]  # one forward transform per call
+        for got_rows, ref_rows in zip(skipped, dense):
+            assert len(got_rows) == len(ref_rows)
+            for got, ref in zip(got_rows, ref_rows):
+                assert np.array_equal(got[[0, 2]], ref)
+                assert got[1].dtype == complex and not np.any(got[1])
 
     @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
     def test_zero_h_batch_data_blocks(self, dim, m):
@@ -421,7 +450,7 @@ class TestDataDerivatives:
         got = rv.data_blocks(increment, lams)
         ref = rv.data_blocks(rv.FullData(geo, data.d, data.f, g, data.h),
                              lams)
-        (ref_grad_normal,) = rv._derivative_blocks(geo, g[-1:], (1,))
+        ref_grad_normal = rv.mode_block(geo, rv.data_rows(geo, g[-1:], 1), 1)
         assert [b.shape for b in got] == [b.shape for b in ref]
         for i in (0, 1, 3):  # d, f, |lam|^{1/2} g
             assert np.array_equal(got[i], ref[i])
@@ -513,8 +542,9 @@ class TestFieldKernel:
     @pytest.mark.parametrize("batch", [None, 3])
     def test_blocks_do_not_depend_on_the_cache(self, dim, m, batch):
         # blocks of a fresh solution equal, bit for bit, those taken after
-        # residual_full has cached some of their fields; taking the blocks
-        # leaves every cached field as it was
+        # residual_full and the fields have cached every row they read;
+        # taking the blocks leaves every cached row and every field as
+        # it was
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(31),
                                    batch=batch)
@@ -523,18 +553,23 @@ class TestFieldKernel:
         def blocks(sol):
             return list(sol.s_blocks()) + list(sol.t_blocks())
 
+        def fields(sol):
+            return [sol.rho(), sol.u(), sol.grad_rho()]
+
         fresh = blocks(rv.solve_gamma_zero(data, lam, P, DC))
         sol = rv.solve_gamma_zero(data, lam, P, DC)
         rv.residual_full(sol, data)
-        before = {key: arr.copy() for key, arr in sol._cache.items()}
-        specs = [("rho", o) for t in (3, 2, 0) for o, _ in _orders(dim, t)]
-        specs += [(c, o) for t in (2, 1, 0) for c in range(dim)
-                  for o, _ in _orders(dim, t)]
-        assert 0 < sum(s in before for s in specs) < len(specs)
-        for got, ref in zip(blocks(sol), fresh):
+        before_fields = fields(sol)
+        before = {key: arr.copy() for key, arr in sol._rows.items()}
+        assert set(before) == ({("rho", k) for k in range(4)}
+                               | {(c, k) for c in range(dim)
+                                  for k in range(3)})
+        for got, ref in zip(blocks(sol), fresh, strict=True):
             assert np.array_equal(got, ref)
-        for (which, orders), arr in before.items():
-            assert np.array_equal(sol.field(which, orders), arr)
+        for key, arr in before.items():
+            assert np.array_equal(sol._rows[key], arr)
+        for got, ref in zip(fields(sol), before_fields):
+            assert np.array_equal(got, ref)
 
 
 class TestOneWholeSpaceMultiplier:
@@ -602,9 +637,9 @@ class TestVanishingMultiplier:
 
 
 class TestMultiplicityWeighting:
-    """Blocks store each distinct derivative once, scaled by the root of
-    its multiplicity; the norm must equal the full-tensor norm over every
-    ordered index tuple."""
+    """Blocks hold per-mode normal-derivative rows weighted by
+    sqrt(C(t, k)) |xi'|^(t - k); the norm must equal the full-tensor norm
+    over every ordered index tuple of the physical fields."""
 
     @staticmethod
     def full_tensor_norm(sol, lam):
@@ -613,9 +648,7 @@ class TestMultiplicityWeighting:
         lam = np.reshape(lam, np.shape(lam) + (1,) * n)
 
         def sq(which, k, weight=1.0):
-            return sum(geo.block_sq([weight * sol.field(
-                which, tuple(idx.count(a) for a in range(n)))])
-                for idx in itertools.product(range(n), repeat=k))
+            return tensor_sq(geo, lambda o: sol.field(which, o), k, weight)
 
         comps = range(n)
         total = (sq("rho", 3) + sq("rho", 2, np.sqrt(lam))

@@ -187,8 +187,7 @@ def trials_with_members(family, seed=5, trials=6, m_max=8):
             members.append((
                 GEO.block_sq(vf.family_apply(family, data, complex(lam), P,
                                              DC, SEC)),
-                sum(GEO.half_l2(b) ** 2
-                    for b in rv.data_blocks(data, complex(lam)))))
+                GEO.block_sq(rv.data_blocks(data, complex(lam)))))
         out.append((ratio, members))
     return out
 
