@@ -97,11 +97,10 @@ def criterion_9():
     geo = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
     for fam in vf.FAMILIES:
         for trials in (200, 400):
-            est, ratios = vf.estimate_rbound(fam, Sector(1.2, 0.5), p, geo,
-                                             m_max=8, trials=trials, seed=0,
-                                             return_ratios=True)
+            est = vf.estimate_rbound(fam, Sector(1.2, 0.5), p, geo,
+                                     m_max=8, trials=trials, seed=0)
             emit(f"rbound/{fam}/T{trials}", est.to_json())
-            emit(f"rbound/{fam}/T{trials}/ratios", np.asarray(ratios))
+            emit(f"rbound/{fam}/T{trials}/ratios", np.asarray(est.ratios))
 
 
 def symbols():
@@ -120,7 +119,7 @@ def symbols():
                     name = f"scan/{tag}/{target}@{angle}/{label}"
                     emit(name, res.to_json())
                     emit(f"{name}/values", vals)
-        sigma_star, _, certs = certify.certify_registry(p, dc)
+        sigma_star, _, certs = certify.certify_registry(p)
         emit(f"sigma_star/{tag}", sigma_star)
         for cert in certs:
             emit(f"certificate/{tag}/{cert.symbol_id}",

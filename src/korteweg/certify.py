@@ -30,6 +30,10 @@ from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
                       whole_space_symbol_P)
 
 SCAN_TARGETS = ("P", "l1", "l2", "re_omega", "re_t1", "re_t2", "detL")
+# the largest |lambda| of a grid, and the range of its frequency moduli
+LAM_HI = 1e6
+XI_LO = 1e-3
+XI_HI = 1e3
 
 
 @dataclass(frozen=True)
@@ -39,35 +43,30 @@ class GridSpec:
     n_lambda: int = 40
     n_theta: int = 9
     n_xi: int = 40
-    lam_hi: float = 1e6
-    xi_lo: float = 1e-3
-    xi_hi: float = 1e3
 
     def refine(self, factor: int = 2) -> "GridSpec":
         return GridSpec(self.n_lambda * factor, self.n_theta * factor,
-                        self.n_xi * factor, self.lam_hi, self.xi_lo,
-                        self.xi_hi)
+                        self.n_xi * factor)
 
     def points(self, sector: Sector):
         """Cartesian (xi, lam) samples; xi are moduli of the frequency."""
         if min(self.n_lambda, self.n_theta, self.n_xi) <= 0:
             raise EmptyGrid("grid axis with zero samples")
         lam_lo = sector.delta if sector.delta > 0 else 1e-3
-        mods = np.logspace(math.log10(lam_lo), math.log10(self.lam_hi),
+        mods = np.logspace(math.log10(lam_lo), math.log10(LAM_HI),
                            self.n_lambda)
         amax = (math.pi - sector.sigma) * (1.0 - 1e-9)
         thetas = np.linspace(-amax, amax, self.n_theta)
         lam = (mods[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-        xi = np.logspace(math.log10(self.xi_lo), math.log10(self.xi_hi),
-                         self.n_xi)
+        xi = np.logspace(math.log10(XI_LO), math.log10(XI_HI), self.n_xi)
         lam_grid = np.repeat(lam, xi.size)
         xi_grid = np.tile(xi, lam.size)
         return xi_grid, lam_grid
 
     def to_json(self) -> dict:
         return {"n_lambda": self.n_lambda, "n_theta": self.n_theta,
-                "n_xi": self.n_xi, "lam_hi": self.lam_hi,
-                "xi_lo": self.xi_lo, "xi_hi": self.xi_hi}
+                "n_xi": self.n_xi, "lam_hi": LAM_HI, "xi_lo": XI_LO,
+                "xi_hi": XI_HI}
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
     """Infimum over the grid of |target| / (|lam|^{1/2}+|xi|)^power.
 
     With return_points=True also returns the per-point (xi, lam, ratio)
-    arrays for CSV emission.
+    arrays for CSV emission.  ``dc`` stays an argument: the symbols
+    benchmark passes the constants it derived once per parameter set.
     """
     dc = derive_constants(p) if dc is None else dc
     xi, lam = grid.points(sector)
@@ -159,7 +159,8 @@ def empirical_sigma_star(p: MaterialParams, target: str = "l1",
     so the bisection never runs.  The grid steps over the zero rays of
     the Lopatinskii symbols that several of those sets have (for
     example at pi - |arg z*| = 0.6688 on (2, 1, 1)), so the returned
-    angle is not a certified limiting angle.
+    angle is not a certified limiting angle.  ``dc`` stays an argument
+    for the symbols benchmark, as in ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
     hi = math.pi / 2 - 1e-3
@@ -291,8 +292,7 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
                        max_alpha=max_alpha, detail=detail)
 
 
-def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
-                     names=None, max_alpha: int = 2):
+def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
     """Certify registry symbols at sigma = empirical sigma* + 0.1.
 
     The angle is capped at 1.45 to stay inside (0, pi/2).  ``names``
@@ -300,7 +300,7 @@ def certify_registry(p: MaterialParams, dc: DerivedConstants | None = None,
     it is refused; the grid is ``certify_multiplier``'s default.
     Returns (sigma_star, sector, certificates).
     """
-    dc = derive_constants(p) if dc is None else dc
+    dc = derive_constants(p)
     reg = symbol_registry(p, dc)
     unknown = sorted(set(names or ()) - set(reg))
     if unknown:
@@ -324,7 +324,8 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     exponents its symbol reads and then that symbol's one formula; the
     exponents are evaluated without the branch-cut check because
     finite-difference stencils may momentarily leave the open sector at
-    its rim.
+    its rim.  ``dc`` stays an argument for the symbols benchmark, as in
+    ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
 

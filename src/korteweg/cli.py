@@ -319,16 +319,14 @@ def _run_solve_full(cfg: ScenarioConfig) -> Output:
     pair = ManufacturedPair(geo.tangential,
                             InteriorBump.random(geo.tangential, rng, kmax=4),
                             None)
-    gamma = cfg.get("gamma", cfg.params.gamma)
-    params = replace(cfg.params, gamma=gamma)
-    data = manufactured_data(pair, geo, lam, params)
-    sol, state = solve_general(data, lam, params)
+    data = manufactured_data(pair, geo, lam, cfg.params)
+    sol, state = solve_general(data, lam, cfg.params)
     res = residual_full(sol, data)
     rho_star, _ = manufactured_fields(pair, geo)
     rec = float(np.max(np.abs(sol.rho() - rho_star))
                 / np.max(np.abs(rho_star)))
     return Output("solve_full", {"lambda": [lam.real, lam.imag],
-                                 "gamma": gamma,
+                                 "gamma": cfg.params.gamma,
                                  "residual": res.to_json(),
                                  "max_relative_residual": res.max_relative(),
                                  "recovery_error": rec,
@@ -336,21 +334,19 @@ def _run_solve_full(cfg: ScenarioConfig) -> Output:
 
 
 def _rbound_estimates(cfg: ScenarioConfig, trials: int) -> dict:
-    """{family: (estimate, trial ratios)} of ``trials`` trials for each
-    of the config's families."""
+    """{family: estimate} of ``trials`` trials for each of the config's
+    families."""
     fams = cfg.extra.get("family", list(FAMILIES))
     fams = [fams] if isinstance(fams, str) else fams
     if not (isinstance(fams, list) and fams and all(
             fam in FAMILIES for fam in fams)):
         raise ValueError(f"family must be one of {list(FAMILIES)} or a "
                          f"nonempty list of them, got {fams!r}")
-    dc = derive_constants(cfg.params)
-    sector = cfg.sector(dc.sigma_w + 0.4, 0.5)
+    sector = cfg.sector(derive_constants(cfg.params).sigma_w + 0.4, 0.5)
     geo = _geometry(cfg)
     m_max = cfg.get("m_max", 8, int)
     return {fam: estimate_rbound(fam, sector, cfg.params, geo, m_max=m_max,
-                                 trials=trials, seed=cfg.seed, dc=dc,
-                                 return_ratios=True)
+                                 trials=trials, seed=cfg.seed)
             for fam in fams}
 
 
@@ -358,11 +354,10 @@ def _run_rbound(cfg: ScenarioConfig) -> Output:
     estimates = _rbound_estimates(cfg, cfg.get("trials", RBOUND_TRIALS, int))
     return Output(
         "rbound",
-        {"estimates": {fam: est.to_json()
-                       for fam, (est, _) in estimates.items()}},
+        {"estimates": {fam: est.to_json() for fam, est in estimates.items()}},
         tables={f"rbound_{fam}": (["trial", "ratio"],
-                                  list(enumerate(map(float, ratios))))
-                for fam, (_, ratios) in estimates.items()})
+                                  list(enumerate(est.ratios)))
+                for fam, est in estimates.items()})
 
 
 def _run_probe(cfg: ScenarioConfig) -> Output:
@@ -401,7 +396,8 @@ def _report_rbound(cfg: ScenarioConfig) -> dict:
     its first RBOUND_TRIALS trials, with the drift between the two."""
     trials = RBOUND_TRIALS
     section = {}
-    for fam, (est, ratios) in _rbound_estimates(cfg, 2 * trials).items():
+    for fam, est in _rbound_estimates(cfg, 2 * trials).items():
+        ratios = est.ratios
         best = int(np.argmax(ratios[:trials]))
         section[fam] = {
             "estimate": est.to_json(),
@@ -456,7 +452,7 @@ SCENARIOS = {
     "solve-half": (_run_solve_half,
                    {"lambda", "points_per_axis", "height", "seed"}),
     "solve-full": (_run_solve_full,
-                   {"lambda", "points_per_axis", "height", "gamma", "seed"}),
+                   {"lambda", "points_per_axis", "height", "seed"}),
     "rbound": (_run_rbound, {"sigma", "delta", "points_per_axis", "family",
                              "trials", "m_max", "seed", "format"}),
     "probe-contraction": (_run_probe,

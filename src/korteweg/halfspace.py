@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, SingularLopatinskii
-from .model import (DerivedConstants, MaterialParams, boundary_rows,
-                    derive_constants, interior_rows, mode_derivative)
+from .model import (MaterialParams, boundary_rows, derive_constants,
+                    interior_rows, mode_derivative)
 from .symbols import (FrakSymbols, RootSet, expand_modes, frak_symbols,
                       kernel_M, lam_axes, lopatinskii, roots_t)
 
@@ -233,7 +233,7 @@ def _lopatinskii_rhs(xi, xi2, roots, g_hat0, h_hat0, lam, p):
     rhs1 = (-2.0 / p.mu * t1 * t2 * om * ixi_g
             + t1 * t2 * (om * om + xi2) / p.mu * g_hat0[n - 1])
     rhs2 = lam * h_hat0
-    return rhs1, rhs2, ixi_g
+    return rhs1, rhs2
 
 
 def _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0, beta_n, gamma_n, p):
@@ -271,16 +271,17 @@ def _check_singular(fr: FrakSymbols, xi2, lam):
                                   f"at {int(np.sum(bad))} mode(s)")
 
 
-def coefficients_direct(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
+def coefficients_direct(xi, lam, g_hat0, h_hat0,
                         p: MaterialParams) -> ModeSolution:
     """Stacked 2x2 linear solve for (beta_N, gamma_N); oracle path."""
+    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
     roots = roots_t(xi2, lam, dc, p.mu)
     L = lopatinskii(xi2, lam, dc, p, roots)
     fr = frak_symbols(xi2, lam, dc, p, roots)
     _check_singular(fr, xi2, lam)
-    rhs1, rhs2, _ = _lopatinskii_rhs(xi, xi2, roots, g_hat0, h_hat0, lam, p)
+    rhs1, rhs2 = _lopatinskii_rhs(xi, xi2, roots, g_hat0, h_hat0, lam, p)
     rhs = np.stack([np.broadcast_to(rhs1, np.shape(L.det_direct)),
                     np.broadcast_to(rhs2, np.shape(L.det_direct))], axis=-1)
     sol = np.linalg.solve(L.matrix, rhs[..., None])[..., 0]
@@ -293,9 +294,10 @@ def coefficients_direct(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
                         gamma=gamma, rho1=rho1, rho2=rho2)
 
 
-def coefficients_closed_form(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
+def coefficients_closed_form(xi, lam, g_hat0, h_hat0,
                              p: MaterialParams) -> ModeSolution:
     """Cofactor/determinant quotients with the factored determinant."""
+    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
     roots = roots_t(xi2, lam, dc, p.mu)
@@ -324,14 +326,14 @@ def coefficients_closed_form(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
                         gamma=gamma, rho1=rho1, rho2=rho2)
 
 
-def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
-                p: MaterialParams):
+def s6_profiles(xi, lam, g_hat0, h_hat0, p: MaterialParams):
     """Field profiles via the eliminated operator formulas.
 
     Returns (rho_profile, [u_1 .. u_N profiles], roots).  Coefficients
     contain only the eliminated symbols; kernels M0/M1/M2 absorb every
     root-difference quotient.
     """
+    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
     roots = roots_t(xi2, lam, dc, p.mu)
@@ -342,6 +344,8 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
     mu = p.mu
     n = len(xi) + 1
     gN = g_hat0[n - 1]
+    ixi_g = sum(1j * xi[k] * g_hat0[k] for k in range(n - 1))
+    xi_g = sum(xi[k] * g_hat0[k] for k in range(n - 1))
     opx = om * om + xi2
     t_of = {1: t1, 2: t2}
     s_of = {1: s1, 2: s2}
@@ -355,14 +359,12 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
     # density
     rho = ChannelProfile()
     c_t1 = (t1 * s1 * s2 * (t1 + om) / (mu * fr.l1)
-            * (-2.0 * om * sum(1j * xi[k] * g_hat0[k] for k in range(n - 1))
-               + opx * gN))
+            * (-2.0 * om * ixi_g + opx * gN))
     c_t1 = c_t1 + sum(sign[l] * fr.a * t_of[l] * m_of[l]
                       / (s_of[l] * l_of[l]) for l in (1, 2)) * h_hat0
     rho.add("exp_t1", c_t1)
     c_m0 = (s1 * s2 * t1 ** 2 * (t1 + om) / (mu * fr.l1)
-            * (2.0 * om * sum(1j * xi[k] * g_hat0[k] for k in range(n - 1))
-               - opx * gN))
+            * (2.0 * om * ixi_g - opx * gN))
     c_m0 = c_m0 + lam * s2 * t1 * fr.m1 / fr.l1 * h_hat0
     rho.add("M0", c_m0)
 
@@ -373,8 +375,7 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
         c_om = g_hat0[j] / (mu * om) + 1j * xi[j] / (2 * mu * om * om) * gN
         for l in (1, 2):
             c_om = c_om + (sign[l] * xi[j] * t1 * t2 * fr.a * p_of[l]
-                           / (mu * om * s_of[l] * l_of[l])
-                           * sum(xi[k] * g_hat0[k] for k in range(n - 1)))
+                           / (mu * om * s_of[l] * l_of[l]) * xi_g)
             c_om = c_om + (sign[l] * 1j * xi[j] * t1 * t2 * opx * fr.a
                            * p_of[l] / (2 * mu * om * om * s_of[l] * l_of[l])
                            * gN)
@@ -386,8 +387,7 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
         prof.add("exp_omega", c_om)
         for l in (1, 2):
             c_ml = -(sign[l] * 2 * xi[j] * om * t1 * t2 * s1 * s2
-                     * (t_of[l] + om) / (mu * s_of[l] * l_of[l])
-                     * sum(xi[k] * g_hat0[k] for k in range(n - 1)))
+                     * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * xi_g)
             c_ml = c_ml - (sign[l] * 1j * xi[j] * t1 * t2 * opx * s1 * s2
                            * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * gN)
             prof.add(f"M{l}", c_ml)
@@ -401,8 +401,7 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
     c_om = gN / (2 * mu * om)
     for l in (1, 2):
         c_om = c_om - (sign[l] * t1 * t2 * fr.a * q_of[l]
-                       / (mu * s_of[l] * l_of[l])
-                       * sum(1j * xi[k] * g_hat0[k] for k in range(n - 1)))
+                       / (mu * s_of[l] * l_of[l]) * ixi_g)
         c_om = c_om + (sign[l] * t1 * t2 * opx * fr.a * q_of[l]
                        / (2 * mu * om * s_of[l] * l_of[l]) * gN)
     for l, m in pairs:
@@ -411,8 +410,7 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, dc: DerivedConstants,
     prof.add("exp_omega", c_om)
     for l in (1, 2):
         c_ml = -(sign[l] * 2 * t1 * t2 * om * s1 * s2 * t_of[l]
-                 * (t_of[l] + om) / (mu * s_of[l] * l_of[l])
-                 * sum(1j * xi[k] * g_hat0[k] for k in range(n - 1)))
+                 * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * ixi_g)
         c_ml = c_ml + (sign[l] * t1 * t2 * opx * s1 * s2 * t_of[l]
                        * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * gN)
         prof.add(f"M{l}", c_ml)
@@ -486,7 +484,6 @@ class ReducedSolution:
 
 def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
                       normal: NormalSamples, p: MaterialParams,
-                      dc: DerivedConstants | None = None,
                       table: dict | None = None) -> ReducedSolution:
     """Same as solve_reduced, from tangential trace coefficients.
 
@@ -495,18 +492,16 @@ def solve_reduced_hat(g_hat0, h_hat0, lam: complex, grid: TangentialGrid,
     channel table (see ReducedSolution) shared with other solutions at
     this lam on these normal samples; by default the solution owns one.
     """
-    dc = derive_constants(p) if dc is None else dc
     xi = tuple(grid.xi_mesh())
     rho_prof, u_profs, roots = s6_profiles(
-        xi, lam_axes(lam, grid.dim_t), g_hat0, h_hat0, dc, p)
+        xi, lam_axes(lam, grid.dim_t), g_hat0, h_hat0, p)
     return ReducedSolution(grid=grid, normal=normal, lam=lam, params=p,
                            roots=roots, rho_prof=rho_prof, u_profs=u_profs,
                            table={} if table is None else table)
 
 
 def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,
-                  normal: NormalSamples, p: MaterialParams,
-                  dc: DerivedConstants | None = None) -> ReducedSolution:
+                  normal: NormalSamples, p: MaterialParams) -> ReducedSolution:
     """Solve the homogeneous-interior problem with boundary data (g, h).
 
     ``g_trace`` has shape (N, tangential shape) and ``h_trace``
@@ -518,7 +513,7 @@ def solve_reduced(g_trace, h_trace, lam: complex, grid: TangentialGrid,
     if g_trace.shape != (n,) + grid.shape or h_trace.shape != grid.shape:
         raise GridMismatch("boundary data shapes do not match grid")
     return solve_reduced_hat(grid.fft(g_trace), grid.fft(h_trace), lam,
-                             grid, normal, p, dc)
+                             grid, normal, p)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import ModeSolution, TangentialGrid
-from .model import (DerivedConstants, MaterialParams, boundary_rows,
+from .model import (MaterialParams, boundary_rows, derive_constants,
                     interior_rows, mode_derivative)
 from .symbols import roots_t
 
@@ -43,8 +43,7 @@ def random_mode_mask(grid: TangentialGrid, rng, kmax: int):
 
 
 def manufactured_boundary_modes(grid: TangentialGrid, lam: complex,
-                                dc: DerivedConstants, p: MaterialParams,
-                                rng, kmax: int = 8,
+                                p: MaterialParams, rng, kmax: int = 8,
                                 amplitude: float = 1.0) -> ModeSolution:
     """Random ansatz-form mode amplitudes satisfying the interior rows.
 
@@ -53,6 +52,7 @@ def manufactured_boundary_modes(grid: TangentialGrid, lam: complex,
     cancellation, the tangential beta/gamma from the proportionality
     relations and the density amplitudes from the mass row.
     """
+    dc = derive_constants(p)
     xi = tuple(grid.xi_mesh())
     xi2 = grid.xi_sq()
     roots = roots_t(xi2, lam, dc, p.mu)
@@ -173,26 +173,26 @@ class ManufacturedPair:
     layer: ModeSolution | None
 
     @classmethod
-    def random(cls, grid: TangentialGrid, lam: complex,
-               dc: DerivedConstants, p: MaterialParams, rng,
-               kmax: int = 6, layer_amplitude: float = 0.5,
+    def random(cls, grid: TangentialGrid, lam: complex, p: MaterialParams,
+               rng, kmax: int = 6, layer_amplitude: float = 0.5,
                with_layer: bool = True) -> "ManufacturedPair":
         bump = InteriorBump.random(grid, rng, kmax=kmax)
-        layer = manufactured_boundary_modes(grid, lam, dc, p, rng,
+        layer = manufactured_boundary_modes(grid, lam, p, rng,
                                             kmax=kmax,
                                             amplitude=layer_amplitude) \
             if with_layer else None
         return cls(grid=grid, bump=bump, layer=layer)
 
-    def data(self, x, lam: complex, p: MaterialParams, gamma: float):
+    def data(self, x, lam: complex, p: MaterialParams):
         """Mode-space (d, f, g, h) rows at the normal samples x.
 
         The boundary layer solves the homogeneous zero-gamma interior
-        system, so with gamma != 0 it contributes gamma grad rho to the
+        system, so with p.gamma != 0 it contributes gamma grad rho to the
         momentum row and gamma rho n to the stress row; its g and h rows
         are carried on a decaying profile so the returned arrays are
         full half-space fields.
         """
+        gamma = p.gamma
         grid = self.grid
         n = grid.dim_t + 1
         x = np.asarray(x, dtype=float)
@@ -246,17 +246,16 @@ class ManufacturedPair:
 
 
 def manufactured_data(pair: ManufacturedPair, geometry, lam: complex,
-                      p: MaterialParams, gamma: float | None = None):
+                      p: MaterialParams):
     """FullData of a manufactured pair on a pipeline geometry.
 
     Applies the rescaled-system rows analytically; the physical fields
     come from one tangential inverse transform per row.
     """
     from .resolvent import FullData
-    gamma = p.gamma if gamma is None else gamma
     x = geometry.normal_samples().x
     grid = geometry.tangential
-    d, f, g, h = pair.data(x, lam, p, gamma)
+    d, f, g, h = pair.data(x, lam, p)
 
     def ifft(a):
         return np.fft.ifftn(a, axes=grid.field_axes)
@@ -292,6 +291,9 @@ def boundary_rows_of_modes(ms: ModeSolution, p: MaterialParams):
 def resolvent_rows_of_bump(bump: InteriorBump, x, lam: complex,
                            p: MaterialParams, gamma: float):
     """Apply the four rescaled-system rows to an interior bump.
+
+    ``gamma`` stays an argument beside ``p`` because the pipeline
+    benchmark passes it by position.
 
     Returns mode-coefficient arrays (d_hat, f_hat, g_hat, h_hat) sampled
     at normal points x; g_hat and h_hat are full normal profiles of the

@@ -236,6 +236,9 @@ def interior_rows(D, lam, p: MaterialParams, n: int, gamma: float):
         mass       = lam rho + div u
         momentum_j = lam u_j - mu Lap u_j - nu d_j div u + gamma d_j rho
                      - kappa d_j Lap rho
+
+    ``gamma`` is an argument beside ``p`` because the gamma = 0
+    corrector's rows are taken at p.gamma != 0 too.
     """
     mass = lam * D("rho", _d(n)) + sum(D(k, _d(n, k)) for k in range(n))
     momentum = [lam * D(j, _d(n))
@@ -255,6 +258,8 @@ def boundary_rows(D, p: MaterialParams, n: int, gamma: float):
         stress_N = -(2 mu d_N u_N + (nu - mu) div u - gamma rho
                      + kappa Lap rho)
         neumann  = -d_N rho
+
+    ``gamma`` is separate from ``p.gamma`` as in ``interior_rows``.
     """
     N = n - 1
     stress = [-p.mu * (D(N, _d(n, j)) + D(j, _d(n, N))) for j in range(N)]

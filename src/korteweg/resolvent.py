@@ -14,7 +14,8 @@ finite difference.
 What a gamma = 0 solve reads that depends only on (geometry, lam,
 params) is one ``LambdaState``: the whole-space multipliers and the
 corrector's channel table.  ``solve_general`` builds one per call and
-every Neumann iterate shares it.  The data norm transforms only the data
+every Neumann iterate shares it.  The params are the one source of the
+model: s1, s2 and gamma are read from them where they are used.  The data norm transforms only the data
 fields that are not identically zero.
 
 The solution operators act one tangential mode at a time, so norms and
@@ -42,8 +43,8 @@ import numpy as np
 from .errors import GridMismatch, NeumannDiverged
 from .halfspace import (NormalSamples, ReducedSolution, TangentialGrid,
                         solve_reduced_hat)
-from .model import (DerivedConstants, MaterialParams, _d, boundary_rows,
-                    derive_constants, interior_rows, mode_derivative)
+from .model import (MaterialParams, _d, boundary_rows, interior_rows,
+                    mode_derivative)
 from .symbols import lam_axes
 from .wholespace import BoxGrid, apply_whole, whole_multipliers
 
@@ -382,18 +383,17 @@ class LambdaState:
     """What a gamma = 0 solve reads that depends only on (geometry, lam,
     params): the whole-space multipliers, built here, and the corrector's
     channel table, built by the first solution that samples it.  Every
-    solve handed this state shares both; it holds nothing of the data.
+    solve handed this state shares both; it holds nothing of the data,
+    and nothing of the spectral constants, which the corrector derives
+    from params.
     """
 
-    def __init__(self, geometry: HalfGeometry, lam, p: MaterialParams,
-                 dc: DerivedConstants | None = None):
-        self.dc = derive_constants(p) if dc is None else dc
+    def __init__(self, geometry: HalfGeometry, lam, p: MaterialParams):
         self.multipliers = whole_multipliers(lam, p, geometry.box)
         self.table = {}
 
 
 def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
-                     dc: DerivedConstants | None = None,
                      state: LambdaState | None = None) -> PipelineSolution:
     """Whole-space solve on extended data plus the boundary corrector.
 
@@ -403,7 +403,7 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
     shared by every solve at that lam; a call without one builds its own.
     """
     geo = data.geometry
-    state = LambdaState(geo, lam, p, dc) if state is None else state
+    state = LambdaState(geo, lam, p) if state is None else state
     axes_box = tuple(range(-geo.dim, 0))
     d_hat = np.fft.fftn(extend_even(geo, data.d), axes=axes_box)
     f_hat = np.fft.fftn(extend_zero(geo, data.f), axes=axes_box)
@@ -411,7 +411,7 @@ def solve_gamma_zero(data: FullData, lam: complex, p: MaterialParams,
     whole = _WholePart(geo, rho_hat, u_hat)
     g_t, h_t = correct_boundary_data_hat(data, whole, p)
     red = solve_reduced_hat(g_t, h_t, lam, geo.tangential,
-                            geo.normal_samples(), p, state.dc, state.table)
+                            geo.normal_samples(), p, state.table)
     return PipelineSolution(geometry=geo, lam=lam, params=p, whole=whole,
                             corrector=red)
 
@@ -483,7 +483,6 @@ class NeumannState:
 
 
 def apply_G(data: FullData, lam: complex, p: MaterialParams,
-            dc: DerivedConstants | None = None,
             state: LambdaState | None = None) -> FullData:
     """One application of the pressure-coupling map.
 
@@ -492,7 +491,7 @@ def apply_G(data: FullData, lam: complex, p: MaterialParams,
     solve_gamma_zero) and dropped on return.
     """
     geo = data.geometry
-    sol = solve_gamma_zero(data, lam, p, dc, state=state)
+    sol = solve_gamma_zero(data, lam, p, state=state)
     n = geo.dim
     out = FullData.zeros(geo)
     grad = sol.grad_rho()
@@ -503,8 +502,7 @@ def apply_G(data: FullData, lam: complex, p: MaterialParams,
     return out
 
 
-def solve_general(data: FullData, lam: complex, p: MaterialParams,
-                  dc: DerivedConstants | None = None):
+def solve_general(data: FullData, lam: complex, p: MaterialParams):
     """Resolvent solve with the pressure-gradient term, by fixed point.
 
     Iterates F <- F0 + G(lam) F; at the fixed point the gamma = 0 solve
@@ -513,9 +511,8 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     so all of them share one ``LambdaState``: one set of whole-space
     multipliers and one channel table per call.
     """
-    dc = derive_constants(p) if dc is None else dc
     if p.gamma == 0.0:
-        sol = solve_gamma_zero(data, lam, p, dc)
+        sol = solve_gamma_zero(data, lam, p)
         return sol, NeumannState(iterations=1, increment_norm=0.0,
                                  ratio_history=[0.0])
     base_norm = fx_norm(data, lam)
@@ -525,7 +522,7 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
     prev_increment = None
     ratios = []
     bad_streak = 0
-    state = LambdaState(data.geometry, lam, p, dc)
+    state = LambdaState(data.geometry, lam, p)
     for it in range(1, MAX_NEUMANN_ITER + 1):
         nxt = data.combine(apply_G(current, lam, p, state=state))
         increment = nxt.diff_norm(current, lam)
@@ -551,11 +548,10 @@ def solve_general(data: FullData, lam: complex, p: MaterialParams,
         f"no convergence within {MAX_NEUMANN_ITER} iterations")
 
 
-def one_step_ratio(data: FullData, lam: complex, p: MaterialParams,
-                   dc: DerivedConstants | None = None) -> float:
+def one_step_ratio(data: FullData, lam: complex, p: MaterialParams) -> float:
     """||G F|| / ||F|| in the lam-weighted data norm."""
     denom = fx_norm(data, lam)
-    g = apply_G(data, lam, p, dc)
+    g = apply_G(data, lam, p)
     return fx_norm(g, lam) / denom
 
 
@@ -569,12 +565,11 @@ def contraction_probe(p: MaterialParams, geometry: HalfGeometry,
     if p.gamma == 0.0:
         raise ValueError("the contraction probe needs params.gamma != 0; "
                          "G vanishes at gamma = 0")
-    dc = derive_constants(p)
     rows = []
     for lam in lambda_list:
         rng = np.random.default_rng(seed)
         data = random_full_data(geometry, rng)
-        rows.append((complex(lam), one_step_ratio(data, complex(lam), p, dc)))
+        rows.append((complex(lam), one_step_ratio(data, complex(lam), p)))
     return rows
 
 
@@ -590,12 +585,11 @@ def auto_lambda0(p: MaterialParams, geometry: HalfGeometry,
     floor at which the iteration is seen to contract, not an estimate
     of the perturbation threshold.
     """
-    dc = derive_constants(p)
     rng = np.random.default_rng(seed)
     data = random_full_data(geometry, rng)
     lam0 = LAMBDA0_START
     for _ in range(LAMBDA0_DOUBLINGS):
-        if one_step_ratio(data, complex(lam0), p, dc) <= LAMBDA0_TARGET:
+        if one_step_ratio(data, complex(lam0), p) <= LAMBDA0_TARGET:
             return lam0
         lam0 *= 2.0
     raise NeumannDiverged("no contraction within the doubling budget")
@@ -660,8 +654,7 @@ class FullResidual:
                 "data_scale": self.data_scale}
 
 
-def residual_full(sol: PipelineSolution, data: FullData,
-                  gamma: float | None = None) -> FullResidual:
+def residual_full(sol: PipelineSolution, data: FullData) -> FullResidual:
     """Max-norm residuals of all four rows with the gamma term included.
 
     Each row is assembled per tangential mode from the solution's rows
@@ -669,17 +662,16 @@ def residual_full(sol: PipelineSolution, data: FullData,
     each row is the maximum over the members.
     """
     p = sol.params
-    gamma = p.gamma if gamma is None else gamma
     tan = sol.geometry.tangential
     n = sol.geometry.dim
     xi = tan.xi_mesh()
     mass, momentum = interior_rows(
         mode_derivative(tuple(x[..., None] for x in xi), sol.row),
-        sol._lam(), p, n, gamma)
+        sol._lam(), p, n, p.gamma)
     # boundary rows at the first normal sample
     stress, neumann = boundary_rows(
         mode_derivative(xi, lambda w, k: sol.row(w, k)[..., 0]), p, n,
-        gamma)
+        p.gamma)
 
     def worst(rows, rhs, ifft):
         return max(float(np.max(np.abs(ifft(r) - d)))

@@ -15,6 +15,12 @@ each symbol alone.  The "frak" symbols are evaluated only through their
 eliminated polynomial forms; the raw quotient definitions divide by
 ``lam`` and implicitly by ``t2 - t1`` and exist here solely as test
 oracles.
+
+The formulas take the spectral constants ``dc`` (s1, s2) as an argument
+beside the parameters: they are the formula layer under the solvers and
+the certificates, evaluated many times per derivation (once per stencil
+point in a certificate), and each of their callers derives ``dc`` once
+from the same parameters it passes.
 """
 
 from __future__ import annotations

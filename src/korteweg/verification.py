@@ -14,13 +14,12 @@ numbers are internal references, not the paper-level constants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ZeroDenominator
-from .model import (DerivedConstants, MaterialParams, Sector,
-                    derive_constants, lam_derivative, radial_factors,
+from .model import (MaterialParams, Sector, lam_derivative, radial_factors,
                     radial_stencil)
 from .resolvent import (FullData, HalfGeometry, data_blocks,
                         random_full_data, solve_gamma_zero)
@@ -99,7 +98,7 @@ def lambda_derivative_family(apply_op, lam: complex,
 
 
 def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,
-                 dc: DerivedConstants, sector: Sector | None = None):
+                 sector: Sector | None = None):
     """Output blocks of one family on a datum or a batch, in one solve.
 
     ``lam`` broadcasts against the data's batch shape.  S_A gives the
@@ -116,19 +115,20 @@ def family_apply(family_id: str, data: FullData, lam, p: MaterialParams,
         return sol.s_blocks() if which == "S_A" else sol.t_blocks()
 
     if family_id == which:
-        return list(blocks(solve_gamma_zero(data, lam, p, dc)))
+        return list(blocks(solve_gamma_zero(data, lam, p)))
     points = radial_stencil(lam, sector)
     stencil_axis = -data.geometry.dim - 1
     # the solution (the whole stencil batch) is freed before differencing
     return [lam_derivative(*np.moveaxis(b, stencil_axis, 0)) for b in blocks(
-        solve_gamma_zero(data.with_member_axis(), points, p, dc))]
+        solve_gamma_zero(data.with_member_axis(), points, p))]
 
 
 @dataclass(frozen=True)
 class RBoundEstimate:
     """``argmax_trial`` is the trial that attains ``estimated_bound``
     ({"trial", "m", "lambdas": [[re, im], ...]}); ``solves`` counts the
-    batched gamma = 0 solves the estimate made."""
+    batched gamma = 0 solves the estimate made; ``ratios`` holds every
+    trial's ratio in trial order, and ``to_json`` leaves it out."""
 
     family_id: str
     p_exponent: int
@@ -140,6 +140,7 @@ class RBoundEstimate:
     seed: int
     argmax_trial: dict
     solves: int
+    ratios: tuple = field(repr=False)
 
     def to_json(self):
         return {"family_id": self.family_id, "p": self.p_exponent,
@@ -150,7 +151,7 @@ class RBoundEstimate:
 
 
 def _group_ratios(family_id: str, group, p: MaterialParams,
-                  dc: DerivedConstants, sector: Sector):
+                  sector: Sector):
     """Trial ratios of a group of (lams, data) trial draws, from one
     batched solve over all their members."""
     geo = group[0][1].geometry
@@ -159,8 +160,7 @@ def _group_ratios(family_id: str, group, p: MaterialParams,
         [getattr(d, row) for _, d in group], axis=-geo.dim - 1)
         for row in "dfgh"))
     # p = 2 with Hilbert norms: the exact average is the closed form
-    numer = geo.member_sq(family_apply(family_id, data, lams, p, dc,
-                                       sector))
+    numer = geo.member_sq(family_apply(family_id, data, lams, p, sector))
     denom = geo.member_sq(data_blocks(data, lams))
     ratios, start = [], 0
     for lams, _ in group:
@@ -176,9 +176,7 @@ def _group_ratios(family_id: str, group, p: MaterialParams,
 def estimate_rbound(family_id: str, sector: Sector, p: MaterialParams,
                     geometry: HalfGeometry, m_max: int = 8,
                     trials: int = 200, seed: int = 0,
-                    dc: DerivedConstants | None = None,
-                    lam_hi: float | None = None,
-                    return_ratios: bool = False):
+                    lam_hi: float | None = None) -> RBoundEstimate:
     """Max over trials of the Rademacher ratio on random sector draws.
 
     Each trial draws m <= m_max sector points and data; trial t uses the
@@ -200,7 +198,8 @@ def estimate_rbound(family_id: str, sector: Sector, p: MaterialParams,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    dc = derive_constants(p) if dc is None else dc
+    # lam_hi stays settable: the delta-floor uniformity test moves the
+    # lambda draws up by decades with it
     hi = lam_hi if lam_hi is not None else max(100.0 * max(sector.delta,
                                                            1.0), 1e3)
     cap = m_max * len(radial_factors())
@@ -213,25 +212,22 @@ def estimate_rbound(family_id: str, sector: Sector, p: MaterialParams,
         lams = sector.sample(rng, m, lam_hi=hi)
         data = random_full_data(geometry, rng, batch=m)
         if width * (sum(len(g) for g, _ in group) + m) > cap:
-            ratios += _group_ratios(family_id, group, p, dc, sector)
+            ratios += _group_ratios(family_id, group, p, sector)
             solves += 1
             group = []
         group.append((lams, data))
         draws.append(lams)
-    ratios += _group_ratios(family_id, group, p, dc, sector)
+    ratios += _group_ratios(family_id, group, p, sector)
     solves += 1
     best = int(np.argmax(ratios))
-    est = RBoundEstimate(
+    return RBoundEstimate(
         family_id=family_id, p_exponent=2, m_max=m_max, trials=trials,
         estimated_bound=ratios[best], sigma=sector.sigma,
         delta=sector.delta, seed=seed,
         argmax_trial={"trial": best, "m": len(draws[best]),
                       "lambdas": [[z.real, z.imag] for z in
                                   map(complex, draws[best])]},
-        solves=solves)
-    if return_ratios:
-        return est, ratios
-    return est
+        solves=solves, ratios=tuple(ratios))
 
 
 def spearman_rho(xs, ys) -> float:

@@ -216,18 +216,13 @@ def band_limited_field(grid: BoxGrid, rng, kmax: int, components: int = 0):
     if kmax >= m // 2:
         raise ValueError(f"kmax {kmax} must stay below the Nyquist mode "
                          f"points_per_axis // 2 = {m // 2}")
-    shape = grid.shape if components == 0 else (components,) + grid.shape
-    coeffs = np.zeros(shape, dtype=complex)
+    lead = () if components == 0 else (components,)
+    coeffs = np.zeros(lead + grid.shape, dtype=complex)
     k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
     mask = np.abs(k) <= kmax
     idx = np.ix_(*([np.where(mask)[0]] * grid.dim))
-    sub_shape = (mask.sum(),) * grid.dim
-    if components == 0:
-        coeffs[idx] = (rng.standard_normal(sub_shape)
-                       + 1j * rng.standard_normal(sub_shape))
-    else:
-        for c in range(components):
-            coeffs[(c,) + idx] = (rng.standard_normal(sub_shape)
-                                  + 1j * rng.standard_normal(sub_shape))
-    axes = tuple(range(len(shape) - grid.dim, len(shape)))
-    return np.fft.ifftn(coeffs, axes=axes)
+    # per component the real part, then the imaginary part, in one draw
+    z = rng.standard_normal(lead + (2,) + (mask.sum(),) * grid.dim)
+    re, im = np.moveaxis(z, -grid.dim - 1, 0)
+    coeffs[(...,) + idx] = re + 1j * im
+    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0)))

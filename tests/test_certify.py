@@ -213,8 +213,7 @@ def test_single_symbols_never_evaluate_the_bundle(monkeypatch):
 
 
 def test_certify_registry_is_the_sigma_star_sweep():
-    sigma_star, sec, certs = certify_registry(P, DC, names=["p1"],
-                                              max_alpha=1)
+    sigma_star, sec, certs = certify_registry(P, names=["p1"], max_alpha=1)
     assert sigma_star == empirical_sigma_star(P, "l1", dc=DC)
     assert sec == Sector(min(sigma_star + 0.1, 1.45), 0.0)
     fn, order, typ = symbol_registry(P, DC)["p1"]
@@ -224,7 +223,7 @@ def test_certify_registry_is_the_sigma_star_sweep():
 
 def test_certify_registry_refuses_unknown_names():
     with pytest.raises(ValueError, match=r"unknown symbols \['nope'\]"):
-        certify_registry(P, DC, names=["p1", "nope"])
+        certify_registry(P, names=["p1", "nope"])
 
 
 @pytest.mark.parametrize("name", ["l1", "r2", "omega^-1"])

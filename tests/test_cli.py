@@ -88,8 +88,7 @@ READS = {
     ("scan", "l1"): {"target", "grid", "sigma", "delta", "format"},
     ("solve-whole", None): {"lambda", "points_per_axis", "seed"},
     ("solve-half", None): {"lambda", "points_per_axis", "height", "seed"},
-    ("solve-full", None): {"lambda", "points_per_axis", "height", "gamma",
-                           "seed"},
+    ("solve-full", None): {"lambda", "points_per_axis", "height", "seed"},
     ("rbound", None): {"sigma", "delta", "points_per_axis", "family",
                        "trials", "m_max", "seed", "format"},
     ("probe-contraction", None): {"points_per_axis", "lambdas", "seed",
@@ -107,8 +106,8 @@ def test_table_is_the_read_sets():
 
     assert rows(keys for _, keys in cli.SCENARIOS.values()) == rows(
         READS.values())
-    assert sum(map(len, READS.values())) == 32
-    assert len(UNREAD) == 9 * len(ALL_KEYS) - 32
+    assert sum(map(len, READS.values())) == 31
+    assert len(UNREAD) == 9 * len(ALL_KEYS) - 31
 
 
 @pytest.mark.parametrize("scenario,target,key", UNREAD)
@@ -124,6 +123,18 @@ def test_unread_key_exit_2(tmp_path, capsys, monkeypatch, scenario, target,
     assert run_cli([scenario.split("-")[0], "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "have no effect" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("scenario,target", READS)
+def test_gamma_key_is_unknown(tmp_path, capsys, scenario, target):
+    # gamma comes from params alone: no scenario reads a top-level gamma
+    obj = {"scenario": scenario, "gamma": 0.1}
+    if target:
+        obj["target"] = target
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(obj))
+    assert run_cli([scenario.split("-")[0], "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['gamma']" in capsys.readouterr().err
 
 
 class TestScenarios:

@@ -54,7 +54,7 @@ class TestCoefficients:
         lam = 3.0 + 1.0j
         g = np.zeros((2, 3), dtype=complex)
         h = np.zeros(3, dtype=complex)
-        ms = hs.coefficients_direct(xi, lam, g, h, DC, P)
+        ms = hs.coefficients_direct(xi, lam, g, h, P)
         for arr in (ms.alpha, ms.beta, ms.gamma, ms.rho1, ms.rho2):
             assert np.max(np.abs(arr)) == 0.0
 
@@ -64,8 +64,8 @@ class TestCoefficients:
             dc = derive_constants(p)
             xi, lam = random_modes(rng, 10_000, dc)
             g, h = random_boundary_data(rng, 10_000)
-            d = hs.coefficients_direct((xi,), lam, g, h, dc, p)
-            c = hs.coefficients_closed_form((xi,), lam, g, h, dc, p)
+            d = hs.coefficients_direct((xi,), lam, g, h, p)
+            c = hs.coefficients_closed_form((xi,), lam, g, h, p)
             for a, b in [(d.beta, c.beta), (d.gamma, c.gamma),
                          (d.alpha, c.alpha), (d.rho1, c.rho1),
                          (d.rho2, c.rho2)]:
@@ -78,7 +78,7 @@ class TestCoefficients:
         rng = np.random.default_rng(13)
         xi, lam = random_modes(rng, 2000, DC)
         g, h = random_boundary_data(rng, 2000)
-        ms = hs.coefficients_closed_form((xi,), lam, g, h, DC, P)
+        ms = hs.coefficients_closed_form((xi,), lam, g, h, P)
         roots = ms.roots
         xi2 = xi ** 2
         u0 = [ms.u_profile(c) for c in range(2)]
@@ -101,7 +101,7 @@ class TestCoefficients:
         xi, lam = random_modes(rng, 3000, DC)
         xi2 = xi ** 2
         ms = hs.coefficients_closed_form(
-            (xi,), lam, *random_boundary_data(rng, 3000), DC, P)
+            (xi,), lam, *random_boundary_data(rng, 3000), P)
         scale = (np.abs(lam) + np.abs(DC.s1 * lam) + xi2) ** 2
         for t in (ms.roots.t1, ms.roots.t2):
             val = characteristic_poly(t, xi2, lam, P)
@@ -119,7 +119,7 @@ class TestCoefficients:
         try:
             hs.SINGULAR_TOL = 1e30
             with pytest.raises(SingularLopatinskii):
-                hs.coefficients_direct(xi, 2.0 + 1j, g, h, DC, P)
+                hs.coefficients_direct(xi, 2.0 + 1j, g, h, P)
         finally:
             hs.SINGULAR_TOL = old
 
@@ -130,7 +130,7 @@ class TestAmplitudeRelations:
         self.xi, self.lam = random_modes(rng, 4000, DC)
         self.g, self.h = random_boundary_data(rng, 4000)
         self.ms = hs.coefficients_closed_form((self.xi,), self.lam, self.g,
-                                              self.h, DC, P)
+                                              self.h, P)
 
     def test_proportionality_relations(self):
         ms = self.ms
@@ -187,15 +187,14 @@ class TestS6Path:
         # production path)
         rng = np.random.default_rng(23)
         for p in PARAM_SETS:
-            dc = derive_constants(p)
             lam = complex(np.exp(rng.uniform(0, 6))
                           * np.exp(1j * rng.uniform(-1.8, 1.8)))
             xi = np.exp(rng.uniform(np.log(1e-3),
                                     np.log(10 * np.sqrt(abs(lam))), 3000))
             xi *= np.sign(rng.standard_normal(3000))
             g, h = random_boundary_data(rng, 3000)
-            ms = hs.coefficients_closed_form((xi,), lam, g, h, dc, p)
-            rho6, u6, roots = hs.s6_profiles((xi,), lam, g, h, dc, p)
+            ms = hs.coefficients_closed_form((xi,), lam, g, h, p)
+            rho6, u6, roots = hs.s6_profiles((xi,), lam, g, h, p)
             x = np.linspace(0.0, 10.0, 9)
             a = ms.rho_profile().evaluate(ms.roots, x)
             b = rho6.evaluate(roots, x)
@@ -210,11 +209,11 @@ class TestS6Path:
         xi = (np.array([1.5]),)
         g = np.zeros((2, 1), dtype=complex)
         h = np.ones(1, dtype=complex)
-        rho6, _, _ = hs.s6_profiles(xi, 4.0 + 3.0j, g, h, DC, P)
+        rho6, _, _ = hs.s6_profiles(xi, 4.0 + 3.0j, g, h, P)
         assert np.max(np.abs(rho6.coeffs["M0"])) > 0
         g = np.ones((2, 1), dtype=complex)
         h = np.zeros(1, dtype=complex)
-        rho6g, _, _ = hs.s6_profiles(xi, 4.0 + 3.0j, g, h, DC, P)
+        rho6g, _, _ = hs.s6_profiles(xi, 4.0 + 3.0j, g, h, P)
         assert set(rho6g.coeffs) == {"exp_t1", "M0"}
 
 
@@ -222,16 +221,16 @@ class TestSolveReduced:
     def test_zero_data(self):
         g = np.zeros((2,) + GRID.shape, dtype=complex)
         h = np.zeros(GRID.shape, dtype=complex)
-        sol = hs.solve_reduced(g, h, 5.0 + 2.0j, GRID, NORMAL, P, DC)
+        sol = hs.solve_reduced(g, h, 5.0 + 2.0j, GRID, NORMAL, P)
         assert np.max(np.abs(sol.rho())) < 1e-14
         assert np.max(np.abs(sol.u())) < 1e-14
 
     def test_manufactured_recovery(self):
         rng = np.random.default_rng(29)
         lam = 25.0 * np.exp(1.9j)
-        star = manufactured_boundary_modes(GRID, lam, DC, P, rng)
+        star = manufactured_boundary_modes(GRID, lam, P, rng)
         g, h = boundary_data_of_modes(star, GRID, P)
-        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P, DC)
+        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P)
         x = NORMAL.x
         rho_star = np.fft.ifft(star.rho_profile().evaluate(star.roots, x),
                                axis=0)
@@ -245,9 +244,9 @@ class TestSolveReduced:
     def test_residuals_small(self):
         rng = np.random.default_rng(31)
         lam = 12.0 * np.exp(-1.2j)
-        star = manufactured_boundary_modes(GRID, lam, DC, P, rng)
+        star = manufactured_boundary_modes(GRID, lam, P, rng)
         g, h = boundary_data_of_modes(star, GRID, P)
-        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P, DC)
+        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P)
         res = hs.residual_reduced(sol, g, h)
         scale = np.max(np.abs(g)) + np.max(np.abs(h))
         assert res.max_all() < 1e-10 * scale
@@ -257,8 +256,7 @@ class TestSolveReduced:
         g = (rng.standard_normal((2,) + GRID.shape)
              + 1j * rng.standard_normal((2,) + GRID.shape))
         h = np.zeros(GRID.shape, dtype=complex)
-        sol = hs.solve_reduced(np.zeros_like(g), h, 4.0 + 1j, GRID, NORMAL,
-                               P, DC)
+        sol = hs.solve_reduced(np.zeros_like(g), h, 4.0 + 1j, GRID, NORMAL, P)
         res = hs.residual_reduced(sol, g, h)
         assert res.boundary_stress == pytest.approx(np.max(np.abs(g)),
                                                     rel=1e-10)
@@ -267,14 +265,14 @@ class TestSolveReduced:
         # two normal-sample sets agree at shared points
         rng = np.random.default_rng(41)
         lam = 8.0 + 5.0j
-        star = manufactured_boundary_modes(GRID, lam, DC, P, rng)
+        star = manufactured_boundary_modes(GRID, lam, P, rng)
         g, h = boundary_data_of_modes(star, GRID, P)
         shared = np.array([0.0, 0.7, 1.9, 4.4])
         na = hs.NormalSamples(shared)
         nb = hs.NormalSamples(np.sort(np.concatenate([shared,
                                                       [0.3, 2.5, 7.0]])))
-        sa = hs.solve_reduced(g, h, lam, GRID, na, P, DC)
-        sb = hs.solve_reduced(g, h, lam, GRID, nb, P, DC)
+        sa = hs.solve_reduced(g, h, lam, GRID, na, P)
+        sb = hs.solve_reduced(g, h, lam, GRID, nb, P)
         ib = [int(np.where(nb.x == v)[0][0]) for v in shared]
         assert np.max(np.abs(sa.rho() - sb.rho()[..., ib])) < 1e-12
 
@@ -284,7 +282,7 @@ class TestSolveReduced:
         rng = np.random.default_rng(47)
         lam = 8.0 + 5.0j
         g, h = random_boundary_data(rng, GRID.shape[0])
-        own = [hs.solve_reduced(c * g, h, lam, GRID, NORMAL, P, DC)
+        own = [hs.solve_reduced(c * g, h, lam, GRID, NORMAL, P)
                for c in (1.0, 2.0)]
         want = [s.rho_hat() for s in own]
         builds = []
@@ -293,7 +291,7 @@ class TestSolveReduced:
                             lambda *a: builds.append(a) or table(*a))
         shared = {}
         got = [hs.solve_reduced_hat(GRID.fft(c * g), GRID.fft(h), lam, GRID,
-                                    NORMAL, P, DC, shared).rho_hat()
+                                    NORMAL, P, shared).rho_hat()
                for c in (1.0, 2.0)]
         assert len(builds) == 1 and set(shared) == set(hs.CHANNELS)
         for a, b in zip(got, want):
@@ -302,9 +300,9 @@ class TestSolveReduced:
     def test_analytic_normal_derivative_vs_finite_difference(self):
         rng = np.random.default_rng(43)
         lam = 9.0 * np.exp(0.7j)
-        star = manufactured_boundary_modes(GRID, lam, DC, P, rng)
+        star = manufactured_boundary_modes(GRID, lam, P, rng)
         g, h = boundary_data_of_modes(star, GRID, P)
-        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P, DC)
+        sol = hs.solve_reduced(g, h, lam, GRID, NORMAL, P)
         x0 = np.array([0.0, 1.3, 3.3])
         eps = 1e-5
         d_an = sol.rho_prof.derivative(sol.roots).evaluate(sol.roots, x0)
@@ -320,7 +318,7 @@ class TestSolveReduced:
         xi = (np.array([1.0, 2.0]),)
         g = np.ones((2, 2), dtype=complex)
         h = np.ones(2, dtype=complex)
-        ms = hs.coefficients_closed_form(xi, 3.0 + 1j, g, h, DC, P)
+        ms = hs.coefficients_closed_form(xi, 3.0 + 1j, g, h, P)
         blob = ms.to_json()
         assert "alpha" in blob and len(blob["t1"]["re"]) == 2
 
@@ -340,7 +338,7 @@ class TestSolveReduced:
         angs = rng.uniform(-(np.pi - sigma) / 2, (np.pi - sigma) / 2, 100)
         ratios = []
         for lam in mods * np.exp(1j * angs):
-            sol = rv.solve_gamma_zero(data, complex(lam), P, DC)
+            sol = rv.solve_gamma_zero(data, complex(lam), P)
             ratios.append(sol.output_norm()
                           / rv.fx_norm(data, complex(lam)))
         ratios = np.array(ratios)

@@ -36,10 +36,10 @@ def manufactured_case(geo, lam, rng, gamma=0.0, with_layer=True,
                       layer_amp=0.5):
     """Star pair, its data rows, and its half-grid samples."""
     params = MaterialParams(P.mu, P.nu, P.kappa, gamma)
-    pair = ManufacturedPair.random(geo.tangential, lam, DC, params, rng,
+    pair = ManufacturedPair.random(geo.tangential, lam, params, rng,
                                    kmax=5, layer_amplitude=layer_amp,
                                    with_layer=with_layer)
-    data = manufactured_data(pair, geo, lam, params, gamma)
+    data = manufactured_data(pair, geo, lam, params)
     rho_star, u_star = manufactured_fields(pair, geo)
     return data, rho_star, u_star, params
 
@@ -89,7 +89,7 @@ class TestBoundaryCorrection:
         d1 = rv.random_full_data(GEO, rng)
         d2 = rv.random_full_data(GEO, rng)
         both = d1.combine(d2)
-        sols = [rv.solve_gamma_zero(x, lam, P, DC) for x in (d1, d2, both)]
+        sols = [rv.solve_gamma_zero(x, lam, P) for x in (d1, d2, both)]
         g1, h1 = rv.correct_boundary_data_hat(d1, sols[0].whole, P)
         g2, h2 = rv.correct_boundary_data_hat(d2, sols[1].whole, P)
         gb, hb = rv.correct_boundary_data_hat(both, sols[2].whole, P)
@@ -99,7 +99,7 @@ class TestBoundaryCorrection:
 
 class TestGammaZeroPipeline:
     def test_zero_data(self):
-        sol = rv.solve_gamma_zero(rv.FullData.zeros(GEO), 50.0 + 0j, P, DC)
+        sol = rv.solve_gamma_zero(rv.FullData.zeros(GEO), 50.0 + 0j, P)
         assert np.max(np.abs(sol.rho())) < 1e-14
         assert np.max(np.abs(sol.u())) < 1e-14
 
@@ -107,7 +107,7 @@ class TestGammaZeroPipeline:
         rng = np.random.default_rng(5)
         lam = 110.0 * np.exp(0.8j)
         data, rho_star, u_star, params = manufactured_case(GEO, lam, rng)
-        sol = rv.solve_gamma_zero(data, lam, params, DC)
+        sol = rv.solve_gamma_zero(data, lam, params)
         assert np.max(np.abs(sol.rho() - rho_star)) \
             < 1e-8 * np.max(np.abs(rho_star))
         assert np.max(np.abs(sol.u() - u_star)) \
@@ -117,11 +117,11 @@ class TestGammaZeroPipeline:
         rng = np.random.default_rng(6)
         data = rv.random_full_data(GEO, rng)
         for lam in (100.0 + 0j, 3.0 + 8.0j, 0.7 - 0.4j):
-            sol = rv.solve_gamma_zero(data, lam, P, DC)
-            assert rv.residual_full(sol, data, 0.0).max_relative() < 1e-10
+            sol = rv.solve_gamma_zero(data, lam, P)
+            assert rv.residual_full(sol, data).max_relative() < 1e-10
 
     def test_homogeneous_uniqueness_shadow(self):
-        sol = rv.solve_gamma_zero(rv.FullData.zeros(GEO), 7.0 + 2.0j, P, DC)
+        sol = rv.solve_gamma_zero(rv.FullData.zeros(GEO), 7.0 + 2.0j, P)
         assert sol.output_norm() < 1e-12
 
     def test_boundary_only_short_circuit(self):
@@ -132,11 +132,11 @@ class TestGammaZeroPipeline:
         data = rv.random_full_data(GEO, rng)
         data.d[:] = 0
         data.f[:] = 0
-        sol = rv.solve_gamma_zero(data, lam, P, DC)
+        sol = rv.solve_gamma_zero(data, lam, P)
         tan = GEO.tangential
         red = solve_reduced_hat(tan.fft(data.g[..., 0]),
                                 tan.fft(data.h[..., 0]), lam, tan,
-                                GEO.normal_samples(), P, DC)
+                                GEO.normal_samples(), P)
         assert np.array_equal(sol.corrector.rho_hat(), red.rho_hat())
         assert np.max(np.abs(sol.rho() - red.rho())) < 1e-17
 
@@ -147,7 +147,7 @@ class TestGammaZeroPipeline:
         # profile, bit for bit
         geo = rv.HalfGeometry(dim=dim, points_per_axis=16, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(12))
-        sol = rv.solve_gamma_zero(data, 30.0 * np.exp(0.8j), P, DC)
+        sol = rv.solve_gamma_zero(data, 30.0 * np.exp(0.8j), P)
         sol.s_blocks()
         sol.t_blocks()
         rv.residual_full(sol, data)
@@ -266,8 +266,8 @@ class TestGammaPerturbation:
         state = rv.random_full_data(GEO, rng)
         lam = 50.0 + 0j
         for _ in range(24):
-            state = rv.apply_G(state, lam, p1, DC)
-        sol = rv.solve_gamma_zero(state, lam, p1, DC)
+            state = rv.apply_G(state, lam, p1)
+        sol = rv.solve_gamma_zero(state, lam, p1)
         assert sol.output_norm() < 1e-10
 
     def test_resolvent_decay_band(self):
@@ -478,10 +478,10 @@ class TestBatchedSolve:
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(15),
                                    batch=len(MIXED_LAMS))
-        batched = rv.solve_gamma_zero(data, MIXED_LAMS, P, DC)
+        batched = rv.solve_gamma_zero(data, MIXED_LAMS, P)
         blocks = list(batched.s_blocks()) + list(batched.t_blocks())
         for i, lam in enumerate(MIXED_LAMS):
-            single = rv.solve_gamma_zero(member(data, i), complex(lam), P, DC)
+            single = rv.solve_gamma_zero(member(data, i), complex(lam), P)
             ref = list(single.s_blocks()) + list(single.t_blocks())
             for b, r in zip(blocks, ref):
                 got = np.take(b, i, axis=-dim - 1)  # the batch axis
@@ -494,10 +494,10 @@ class TestBatchedSolve:
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(15),
                                    batch=len(MIXED_LAMS))
-        batched = rv.residual_full(rv.solve_gamma_zero(data, MIXED_LAMS, P,
-                                                       DC), data).to_json()
+        batched = rv.residual_full(rv.solve_gamma_zero(data, MIXED_LAMS, P),
+                                   data).to_json()
         singles = [rv.residual_full(rv.solve_gamma_zero(
-                       member(data, i), complex(lam), P, DC),
+                       member(data, i), complex(lam), P),
                        member(data, i)).to_json()
                    for i, lam in enumerate(MIXED_LAMS)]
         for key, value in batched.items():
@@ -530,11 +530,11 @@ class TestBatchedSolve:
         assert margin(lams[1]) == lo < hi
         monkeypatch.setattr(hs, "SINGULAR_TOL", np.sqrt(lo * hi))
         data = rv.random_full_data(geo, np.random.default_rng(17), batch=2)
-        rv.solve_gamma_zero(member(data, 0), complex(lams[0]), P, DC)
+        rv.solve_gamma_zero(member(data, 0), complex(lams[0]), P)
         with pytest.raises(SingularLopatinskii):
-            rv.solve_gamma_zero(member(data, 1), complex(lams[1]), P, DC)
+            rv.solve_gamma_zero(member(data, 1), complex(lams[1]), P)
         with pytest.raises(SingularLopatinskii):
-            rv.solve_gamma_zero(data, lams, P, DC)
+            rv.solve_gamma_zero(data, lams, P)
 
 
 class TestFieldKernel:
@@ -556,8 +556,8 @@ class TestFieldKernel:
         def fields(sol):
             return [sol.rho(), sol.u(), sol.grad_rho()]
 
-        fresh = blocks(rv.solve_gamma_zero(data, lam, P, DC))
-        sol = rv.solve_gamma_zero(data, lam, P, DC)
+        fresh = blocks(rv.solve_gamma_zero(data, lam, P))
+        sol = rv.solve_gamma_zero(data, lam, P)
         rv.residual_full(sol, data)
         before_fields = fields(sol)
         before = {key: arr.copy() for key, arr in sol._rows.items()}
@@ -598,7 +598,7 @@ class TestOneWholeSpaceMultiplier:
         geo = rv.HalfGeometry(dim=dim, points_per_axis=m, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(20))
         lam = 3.0 + 8.0j
-        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lam, P, DC),
+        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lam, P),
                                    geo)
         ref_rho, ref_u = self.reference(data, lam, geo)
         self.assert_close(rho, ref_rho)
@@ -608,7 +608,7 @@ class TestOneWholeSpaceMultiplier:
         geo = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
         data = rv.random_full_data(geo, np.random.default_rng(21), batch=3)
         lams = MIXED_LAMS[:3]
-        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lams, P, DC),
+        rho, u = self.whole_fields(rv.solve_gamma_zero(data, lams, P),
                                    geo)
         for i, lam in enumerate(lams):
             ref_rho, ref_u = self.reference(member(data, i), complex(lam),
@@ -633,7 +633,7 @@ class TestVanishingMultiplier:
         geo = rv.HalfGeometry(dim=2, points_per_axis=16)
         data = rv.random_full_data(geo, np.random.default_rng(23), batch=3)
         with pytest.raises(LambdaOutsideSector):
-            rv.solve_gamma_zero(data, np.array([5.0, 0.0, 2.0j]), P, DC)
+            rv.solve_gamma_zero(data, np.array([5.0, 0.0, 2.0j]), P)
 
 
 class TestMultiplicityWeighting:
@@ -664,7 +664,7 @@ class TestMultiplicityWeighting:
         data = rv.random_full_data(geo, np.random.default_rng(24),
                                    batch=batch)
         lam = 3.0 + 8.0j if batch is None else MIXED_LAMS[:batch]
-        sol = rv.solve_gamma_zero(data, lam, P, DC)
+        sol = rv.solve_gamma_zero(data, lam, P)
         got = sol.output_norm()
         ref = self.full_tensor_norm(sol, lam)
         assert abs(got - ref) <= 1e-13 * ref

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from korteweg import model
 from korteweg.errors import StepOutsideSector, ZeroDenominator
-from korteweg.model import (MaterialParams, Sector, derive_constants,
-                            radial_factors)
+from korteweg.model import MaterialParams, Sector, radial_factors
 from korteweg import resolvent as rv
 from korteweg import verification as vf
 
 P = MaterialParams(1.0, 1.0, 2.0)
-DC = derive_constants(P)
 SEC = Sector(1.2, 0.5)
 GEO = rv.HalfGeometry(dim=2, points_per_axis=16, height=10.0)
 
@@ -140,10 +138,10 @@ class TestEstimateRBound:
             return rv.solve_gamma_zero(*args, **kwargs)
 
         monkeypatch.setattr(vf, "solve_gamma_zero", counted)
-        est, ratios = vf.estimate_rbound(family, SEC, P, GEO, m_max=4,
-                                         trials=12, seed=3,
-                                         return_ratios=True)
-        arg = est.argmax_trial
+        est = vf.estimate_rbound(family, SEC, P, GEO, m_max=4, trials=12,
+                                 seed=3)
+        arg, ratios = est.argmax_trial, est.ratios
+        assert len(ratios) == 12
         assert ratios[arg["trial"]] == est.estimated_bound == max(ratios)
         rng = np.random.default_rng((3, arg["trial"]))
         m = int(rng.integers(1, 5))
@@ -153,6 +151,9 @@ class TestEstimateRBound:
         assert est.solves == len(solves)
         out = est.to_json()
         assert out["argmax_trial"] == arg and out["solves"] == est.solves
+        assert set(out) == {"family_id", "p", "m_max", "trials",
+                            "estimated_bound", "sigma", "delta", "seed",
+                            "argmax_trial", "solves"}
 
     def test_delta_floor_uniformity(self):
         # estimates stay within a factor 4 band as the lambda draws move
@@ -174,9 +175,8 @@ def test_spearman_exact_orders():
 def trials_with_members(family, seed=5, trials=6, m_max=8):
     """Each batched trial ratio with its members' (numerator, denominator)
     rebuilt one lambda at a time from the same draws."""
-    _, ratios = vf.estimate_rbound(family, SEC, P, GEO, m_max=m_max,
-                                   trials=trials, seed=seed,
-                                   return_ratios=True)
+    ratios = vf.estimate_rbound(family, SEC, P, GEO, m_max=m_max,
+                                trials=trials, seed=seed).ratios
     out = []
     for t, ratio in enumerate(ratios):
         rng = np.random.default_rng((seed, t))
@@ -186,7 +186,7 @@ def trials_with_members(family, seed=5, trials=6, m_max=8):
             data = rv.random_full_data(GEO, rng)
             members.append((
                 GEO.block_sq(vf.family_apply(family, data, complex(lam), P,
-                                             DC, SEC)),
+                                             SEC)),
                 GEO.block_sq(rv.data_blocks(data, complex(lam)))))
         out.append((ratio, members))
     return out
@@ -230,9 +230,9 @@ def test_derivative_family_shares_the_stencil():
     def flat(blocks):
         return np.concatenate([b.ravel() for b in blocks])
 
-    vec = flat(vf.family_apply("T_B_dlambda", data, lam, P, DC, SEC))
+    vec = flat(vf.family_apply("T_B_dlambda", data, lam, P, SEC))
     ref = vf.lambda_derivative_family(
-        lambda z: flat(vf.family_apply("T_B", data, z, P, DC)), lam, SEC)
+        lambda z: flat(vf.family_apply("T_B", data, z, P)), lam, SEC)
     assert np.max(np.abs(vec - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -243,7 +243,7 @@ def test_batched_stencil_checks_sector_before_solving(monkeypatch):
     data = rv.random_full_data(GEO, np.random.default_rng(13), batch=2)
     lams = np.array([10.0 + 0j, 1.000001 + 0j])  # the second dips below
     with pytest.raises(StepOutsideSector):
-        vf.family_apply("S_A_dlambda", data, lams, P, DC, Sector(0.5, 1.0))
+        vf.family_apply("S_A_dlambda", data, lams, P, Sector(0.5, 1.0))
     assert calls == []
 
 
@@ -285,11 +285,9 @@ def test_trial_ratios_are_a_prefix(family):
     # grouping follows the trial sequence only: a T-trial call gives the
     # first T ratios of a longer call, bit for bit
     for seed in range(4):
-        _, full = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
-                                     trials=14, seed=seed,
-                                     return_ratios=True)
+        full = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
+                                  trials=14, seed=seed).ratios
         for trials in (1, 3, 5):
-            _, part = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
-                                         trials=trials, seed=seed,
-                                         return_ratios=True)
+            part = vf.estimate_rbound(family, SEC, P, GEO, m_max=8,
+                                      trials=trials, seed=seed).ratios
             assert part == full[:trials]
