@@ -44,8 +44,6 @@ from korteweg.model import (MaterialParams, Sector,  # noqa: E402
                             derive_constants)
 from workloads import ACCEPTANCE_SETS, Pipeline256  # noqa: E402
 
-SCAN_TARGETS = ("P", "re_omega", "re_t1", "re_t2", "l1", "l2", "detL")
-
 
 def emit(name, value):
     h = hashlib.blake2b(digest_size=16)
@@ -109,7 +107,7 @@ def symbols():
         p = MaterialParams(*coeffs)
         dc = derive_constants(p)
         tag = "params" + ",".join(f"{c:g}" for c in coeffs)
-        for target in SCAN_TARGETS:
+        for target in certify.SCAN_TARGETS:
             for angle, sigma in (("sigma_w+0.2", dc.sigma_w + 0.2),
                                  ("pi/3", math.pi / 3)):
                 for label, g in (("base", grid), ("refined", grid.refine(2))):

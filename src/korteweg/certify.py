@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import DerivativeStepUnderflow, EmptyGrid
 from .model import (DerivedConstants, MaterialParams, Sector,
-                    derive_constants, lam_derivative, radial_factors,
+                    derive_constants, jth, lam_derivative, radial_factors,
                     richardson)
 from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
-                      lopatinskii, omega_lambda, roots_t, t_root,
-                      whole_space_symbol_P)
+                      lopatinskii, roots_t, whole_space_symbol_P)
 
-SCAN_TARGETS = ("P", "l1", "l2", "re_omega", "re_t1", "re_t2", "detL")
+SCAN_TARGETS = ("P", "re_omega", "re_t1", "re_t2", "l1", "l2", "detL")
 # the largest |lambda| of a grid, and the range of its frequency moduli
 LAM_HI = 1e6
 XI_LO = 1e-3
@@ -90,6 +89,9 @@ class ScanResult:
 
 def _scan_values(target: str, xi, lam, p: MaterialParams,
                  dc: DerivedConstants):
+    if target not in SCAN_TARGETS:
+        raise ValueError(f"unknown scan target {target!r}; the targets are "
+                         f"{SCAN_TARGETS}")
     xi2 = xi ** 2
     denom = (np.sqrt(np.abs(lam)) + xi)
     if target == "P":
@@ -105,15 +107,13 @@ def _scan_values(target: str, xi, lam, p: MaterialParams,
         val = frak_l(int(target[1]), xi2, lam, roots.omega, roots.t1,
                      roots.t2, dc, p)
         return np.abs(val) / denom ** 6
-    if target == "detL":
-        # report through the factorization: |detL| t1 |t1+omega| /
-        # (|lam| |t2-t1|) recovers |l1|, scaled like the l-scan
-        L = lopatinskii(xi2, lam, dc, p, roots)
-        num = np.abs(L.det_factored) * np.abs(roots.t1) * np.abs(
-            roots.t1 + roots.omega)
-        den = np.abs(lam) * np.abs(roots.t2 - roots.t1)
-        return num / den / denom ** 6
-    raise ValueError(f"unknown scan target {target!r}")
+    # detL: report through the factorization: |detL| t1 |t1+omega| /
+    # (|lam| |t2-t1|) recovers |l1|, scaled like the l-scan
+    L = lopatinskii(xi2, lam, dc, p, roots)
+    num = np.abs(L.det_factored) * np.abs(roots.t1) * np.abs(
+        roots.t1 + roots.omega)
+    den = np.abs(lam) * np.abs(roots.t2 - roots.t1)
+    return num / den / denom ** 6
 
 
 def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
@@ -320,30 +320,52 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     """Closures for every certifiable symbol, keyed by id.
 
     Values are (closure, claimed_order, claimed_type).  Closures accept
-    (xi_vec, lam) and tolerate array lam.  Each evaluates only the
-    exponents its symbol reads and then that symbol's one formula; the
-    exponents are evaluated without the branch-cut check because
-    finite-difference stencils may momentarily leave the open sector at
-    its rim.  ``dc`` stays an argument for the symbols benchmark, as in
+    (xi_vec, lam) and tolerate array lam.  The closures that read
+    exponents share them: the registry owns one ``RootSet`` per distinct
+    (|xi'|^2, lam) it has been called at, keyed by the dtype, shape and
+    bytes of both arrays (a hit is exact), so a sweep over the registry
+    evaluates the square roots at each certificate stencil point once,
+    not once per symbol.  Each closure then evaluates its symbol's one
+    formula from that ``RootSet``.  The exponents are evaluated without
+    the branch-cut check because finite-difference stencils may
+    momentarily leave the open sector at its rim.  The memo lives as
+    long as the registry; one sweep holds 3 complex arrays per stencil
+    array.  ``dc`` stays an argument for the symbols benchmark, as in
     ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
+    # Each distinct array's (dtype, shape, bytes) is stored once and
+    # shared by every key that names it: at max_alpha = 2 a sweep's 105
+    # keys name 21 xi'^2 and 5 lam arrays.  A stored part keeps its hash,
+    # so the RootSet lookup hashes no array bytes.
+    parts: dict = {}
+    roots: dict = {}
 
-    def of_xi_sq(fn):
+    def part(a):
+        key = (a.dtype.str, a.shape, a.tobytes())
+        # found by a hash of each element's first byte, a quarter of the
+        # cost of hashing every byte; a hit still compares every byte
+        same = parts.setdefault(key[:2] + (hash(key[2][::a.itemsize]),), [])
+        for known in same:
+            if known == key:
+                return known
+        same.append(key)
+        return key
+
+    def of_roots(fn):
         def closure(xi_vec, lam):
-            return fn(np.sum(np.asarray(xi_vec) ** 2, axis=0), lam)
+            xi2 = np.sum(np.asarray(xi_vec) ** 2, axis=0)
+            lam = np.asarray(lam)
+            key = (part(xi2), part(lam))
+            r = roots.get(key)
+            if r is None:
+                r = roots[key] = roots_t(xi2, lam, dc, p.mu, check=False)
+            return fn(xi2, lam, r)
 
         return closure
 
-    def om(xi2, lam):
-        return omega_lambda(xi2, lam, p.mu, check=False)
-
-    def t(j, xi2, lam):
-        return t_root(j, xi2, lam, dc, check=False)
-
-    def l_j(j, xi2, lam):
-        return frak_l(j, xi2, lam, om(xi2, lam), t(1, xi2, lam),
-                      t(2, xi2, lam), dc, p)
+    def l_j(j, xi2, lam, r):
+        return frak_l(j, xi2, lam, r.omega, r.t1, r.t2, dc, p)
 
     reg = {
         "xi_j": (lambda xi_vec, lam: xi_vec[0] + 0.0 * lam, 1.0, 1),
@@ -358,27 +380,25 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
                         0.0, 2),
     }
     for j in (1, 2):
-        reg[f"t{j}"] = (of_xi_sq(lambda xi2, lam, j=j: t(j, xi2, lam)),
-                        1.0, 1)
-        reg[f"t{j}+omega"] = (of_xi_sq(lambda xi2, lam, j=j:
-                                       t(j, xi2, lam) + om(xi2, lam)), 1.0, 1)
-        reg[f"m{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_m(
-            j, xi2, lam, om(xi2, lam), t(j, xi2, lam), dc, p)), 3.0, 1)
-        reg[f"p{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_p(
-            j, om(xi2, lam), t(j, xi2, lam), dc, p)), 1.0, 1)
-        reg[f"q{j}"] = (of_xi_sq(lambda xi2, lam, j=j: frak_q(
-            j, om(xi2, lam), t(j, xi2, lam), dc, p)), 1.0, 1)
-        reg[f"r{j}"] = (of_xi_sq(lambda xi2, lam, j=j: roots_t(
-            xi2, lam, dc, p.mu, check=False).r_frak(j)), 0.0, 1)
-        reg[f"l{j}"] = (of_xi_sq(lambda xi2, lam, j=j: l_j(j, xi2, lam)),
+        reg[f"t{j}"] = (of_roots(lambda xi2, lam, r, j=j:
+                                 jth(j, r.t1, r.t2)), 1.0, 1)
+        reg[f"t{j}+omega"] = (of_roots(lambda xi2, lam, r, j=j:
+                                       jth(j, r.t1, r.t2) + r.omega), 1.0, 1)
+        reg[f"m{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_m(
+            j, xi2, lam, r.omega, jth(j, r.t1, r.t2), dc, p)), 3.0, 1)
+        reg[f"p{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_p(
+            j, r.omega, jth(j, r.t1, r.t2), dc, p)), 1.0, 1)
+        reg[f"q{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_q(
+            j, r.omega, jth(j, r.t1, r.t2), dc, p)), 1.0, 1)
+        reg[f"r{j}"] = (of_roots(lambda xi2, lam, r, j=j: r.r_frak(j)),
+                        0.0, 1)
+        reg[f"l{j}"] = (of_roots(lambda xi2, lam, r, j=j: l_j(j, xi2, lam, r)),
                         6.0, 1)
-        reg[f"l{j}_inv"] = (of_xi_sq(lambda xi2, lam, j=j:
-                                     1.0 / l_j(j, xi2, lam)), -6.0, 1)
-    reg["a"] = (of_xi_sq(lambda xi2, lam: frak_a(
-        t(1, xi2, lam), t(2, xi2, lam), dc)), 1.0, 1)
-    reg["b"] = (of_xi_sq(lambda xi2, lam: frak_b(
-        t(1, xi2, lam), t(2, xi2, lam), dc)), 1.0, 1)
+        reg[f"l{j}_inv"] = (of_roots(lambda xi2, lam, r, j=j:
+                                     1.0 / l_j(j, xi2, lam, r)), -6.0, 1)
+    reg["a"] = (of_roots(lambda xi2, lam, r: frak_a(r.t1, r.t2, dc)), 1.0, 1)
+    reg["b"] = (of_roots(lambda xi2, lam, r: frak_b(r.t1, r.t2, dc)), 1.0, 1)
     for s in (-2, -1, 1, 2):
         reg[f"omega^{s}"] = (
-            of_xi_sq(lambda xi2, lam, s=s: om(xi2, lam) ** s), float(s), 1)
+            of_roots(lambda xi2, lam, r, s=s: r.omega ** s), float(s), 1)
     return reg

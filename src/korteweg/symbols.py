@@ -11,16 +11,17 @@ Each exponent (omega, t_j) and each eliminated boundary symbol (m_j, p_j,
 q_j, l_j, a, b) is written once, the indexed ones with the index j as an
 argument, and reads only the exponents it needs.  ``frak_symbols`` composes
 them into the bundle the half-space solver reads; certification evaluates
-each symbol alone.  The "frak" symbols are evaluated only through their
-eliminated polynomial forms; the raw quotient definitions divide by
-``lam`` and implicitly by ``t2 - t1`` and exist here solely as test
-oracles.
+each symbol alone, from exponents that the symbols of one registry share.
+The "frak" symbols are evaluated only through their eliminated polynomial
+forms; the raw quotient definitions divide by ``lam`` and implicitly by
+``t2 - t1`` and exist here solely as test oracles.
 
 The formulas take the spectral constants ``dc`` (s1, s2) as an argument
 beside the parameters: they are the formula layer under the solvers and
-the certificates, evaluated many times per derivation (once per stencil
-point in a certificate), and each of their callers derives ``dc`` once
-from the same parameters it passes.
+the certificates, evaluated many times per derivation (in a certificate
+sweep, the exponents once per stencil point and each symbol once per
+stencil point), and each of their callers derives ``dc`` once from the
+same parameters it passes.
 """
 
 from __future__ import annotations

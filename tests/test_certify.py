@@ -70,6 +70,16 @@ class TestScans:
         blob = r.to_json()
         assert blob["target"] == "P" and blob["C"] > 0
 
+    def test_unknown_target_refused_before_evaluation(self, monkeypatch):
+        def roots_t(*args, **kwargs):
+            raise AssertionError("roots_t evaluated")
+
+        monkeypatch.setattr(certify, "roots_t", roots_t)
+        with pytest.raises(ValueError, match=r"unknown scan target 'l3'; "
+                           r"the targets are \('P', 're_omega'"):
+            scan_lower_bound("l3", Sector(1.0, 0.0), GridSpec(4, 3, 4), P,
+                             DC)
+
     def test_empirical_sigma_star(self):
         for p in PARAM_SETS:
             dc = derive_constants(p)
@@ -210,6 +220,59 @@ def test_single_symbols_never_evaluate_the_bundle(monkeypatch):
                                   grid=GridSpec(6, 3, 6))
         assert np.isfinite(cert.estimated_constant)
     assert scan_lower_bound("l1", sec, GridSpec(6, 3, 6), P, DC).constant > 0
+
+
+@pytest.mark.parametrize("p", [PARAM_SETS[0], PARAM_SETS[3]],
+                         ids=["eta<0", "eta>0"])
+def test_shared_exponents_leave_certificates_unchanged(p):
+    dc = derive_constants(p)
+    sec = Sector(dc.sigma_w + 0.1, 0.0)
+    grid = GridSpec(6, 3, 6)
+    shared = symbol_registry(p, dc)
+    assert len(shared) == 27
+    for name, (fn, order, typ) in shared.items():
+        alone, _, _ = symbol_registry(p, dc)[name]
+        assert certify_multiplier(fn, name, order, typ, sec, p, grid) == \
+            certify_multiplier(alone, name, order, typ, sec, p, grid), name
+
+
+def test_registry_evaluates_each_stencil_point_once(monkeypatch):
+    calls = []
+    roots_t = certify.roots_t
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return roots_t(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "roots_t", counted)
+    sec = Sector(DC.sigma_w + 0.25, 0.0)
+    grid = GridSpec(6, 3, 6)
+
+    def certify_all(names):
+        calls.clear()
+        reg = symbol_registry(P, DC)
+        for name in names:
+            fn, order, typ = reg[name]
+            certify_multiplier(fn, name, order, typ, sec, P, grid)
+        return len(calls)
+
+    reading = sorted(set(symbol_registry(P, DC)) - ELEMENTARY)
+    assert len(reading) == 22
+    assert certify_all(reading) == certify_all(["l1"]) > 0
+
+
+def test_registry_hits_only_equal_arrays():
+    # a float64 lam and its complex128 view hold the same bytes; 0.5 and
+    # 1.0 differ only in their two highest bytes
+    xi_vec = np.array([[0.7]])
+    lam_real = np.array([3.0, 0.5])
+    lams = [lam_real, lam_real.view(complex), np.array([3.0, 1.0])]
+    shared = symbol_registry(P, DC)
+    for name in sorted(set(shared) - ELEMENTARY):
+        fn = shared[name][0]
+        for lam in lams:
+            fresh = symbol_registry(P, DC)[name][0]
+            assert np.array_equal(fn(xi_vec, lam), fresh(xi_vec, lam)), name
 
 
 def test_certify_registry_is_the_sigma_star_sweep():
