@@ -7,10 +7,10 @@ refinement-stable infimum is the numerical certificate.
 
 Multiplier certification checks the derivative bounds defining the order-s
 classes (type 1: (|lam|^{1/2}+|xi'|)^{s-|a|}; type 2: the same power of s
-with |xi'|^{-|a|}) by nested Richardson-extrapolated central differences in
-xi' and, for the lam d/dlam factor, the radial difference rule that the
-R-bound derivative families use too (``model.radial_factors`` and
-``model.lam_derivative``).
+with |xi'|^{-|a|}).  It evaluates each symbol once per grid point on
+truncated Taylor polynomials ("jets") in xi' and log lam, and reads every
+derivative off their coefficients (A. Griewank and A. Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DerivativeStepUnderflow, EmptyGrid
+from .errors import EmptyGrid
 from .model import (DerivedConstants, MaterialParams, Sector,
-                    derive_constants, jth, lam_derivative, radial_factors,
-                    richardson)
+                    derive_constants, jth)
 from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
-                      lopatinskii, roots_t, whole_space_symbol_P)
+                      lopatinskii, principal_sqrt, roots_t,
+                      whole_space_symbol_P)
 
 SCAN_TARGETS = ("P", "re_omega", "re_t1", "re_t2", "l1", "l2", "detL")
 # the largest |lambda| of a grid, and the range of its frequency moduli
@@ -211,44 +211,93 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _step_sizes(xi_vec, lam, factor: float = 1e-4):
-    """Per-axis finite-difference step; guards the underflow floor.
+class Jet:
+    """Truncated Taylor polynomial in (xi - xi0, log lam - log lam0).
 
-    The step is ``factor`` times the homogeneous scale |lam|^{1/2} +
-    |xi'|, the variation scale of every symbol in play.  A smaller step
-    makes the second differences rounding-dominated at lam-dominated
-    grid corners.
+    ``c[a, n]``, on the leading axes of one array over the grid, is the
+    coefficient of (xi - xi0)^a (log lam - log lam0)^n, a <= order, n <= 1;
+    a scalar or grid array is a constant.  Products are truncated 2-D
+    convolutions; 1/g and sqrt(g) are binomial series in h = g/v - 1 about
+    the value v, which end at the total order, order + 1.
     """
-    xi_norm = np.sqrt(np.sum(xi_vec ** 2, axis=0))
-    h = factor * np.maximum(xi_norm, np.sqrt(np.abs(lam)) + xi_norm)
-    floor = 1e3 * np.finfo(float).eps * xi_norm
-    if np.any(h <= floor):
-        raise DerivativeStepUnderflow("finite-difference step below "
-                                      "resolvable scale")
-    return h
+
+    # numpy defers its binary operators to the jet's; np.sqrt(jet) calls
+    # Jet.sqrt through numpy's object loop
+    __array_priority__ = 1.0
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.c + other.c)
+        c = self.c.astype(np.result_type(self.c, other))
+        c[0, 0] += other
+        return Jet(c)
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __rsub__(self, other):
+        return -1.0 * self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.c * other)
+        f, g = self.c, other.c
+        out = np.zeros(f.shape, np.result_type(f, g))
+        top = len(f)
+        for i in range(top):
+            out[i:, 0] += f[i, 0] * g[:top - i, 0]
+            out[i:, 1] += f[i, 0] * g[:top - i, 1] + f[i, 1] * g[:top - i, 0]
+        return Jet(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * (1.0 / other)
+        return Jet(self.c / other)
+
+    def __rtruediv__(self, other):
+        return self._power(-1.0, other / self.c[0, 0])
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return 1.0 / self ** -n
+        return self if n == 1 else self * self ** (n - 1)
+
+    def sqrt(self):
+        """Principal square root; refuses a value on the branch cut."""
+        return self._power(0.5, principal_sqrt(self.c[0, 0]))
+
+    def _power(self, p: float, head):
+        """head * (self / value) ** p, where head is a constant: the
+        series sum_k C(p, k) h^k in h = self / value - 1, by Horner's
+        rule."""
+        h = Jet(self.c / self.c[0, 0])
+        h.c[0, 0] = 0.0
+        acc = 0.0
+        for k in range(len(self.c), 0, -1):
+            acc = h * (acc + math.prod((p - i) / (i + 1) for i in range(k)))
+        return (acc + 1.0) * head
 
 
-def _partial_xi(f, xi_vec, lam, order, h):
-    """d^order/dxi^order by nested central differences, each
-    Richardson-extrapolated once."""
-    if not order:
-        return f(xi_vec, lam)
+def jet_derivatives(symbol, xi, lam, max_alpha: int):
+    """d^a/dxi^a (lam d/dlam)^n symbol at grid points (xi, lam), on leading
+    axes [a, n] for a <= max_alpha and n <= 1.
 
-    def d(step):
-        return (_partial_xi(f, xi_vec + step, lam, order - 1, h)
-                - _partial_xi(f, xi_vec - step, lam, order - 1, h)) / (
-            2.0 * step)
-
-    return richardson(d(h / 2.0), d(h))
-
-
-def _lambda_dilation(f):
-    """Return the closure (xi, lam) -> lam d/dlam f."""
-
-    def g(xi_vec, lam):
-        return lam_derivative(*(f(xi_vec, lam * c) for c in radial_factors()))
-
-    return g
+    ``symbol`` is evaluated once, on the jets xi + dxi and lam e^s (lam
+    d/dlam is d/ds), and each coefficient is multiplied by a!.
+    """
+    xi_c = np.zeros((max_alpha + 1, 2) + xi.shape)
+    xi_c[0, 0] = xi
+    xi_c[1:2, 0] = 1.0              # dxi, unless max_alpha = 0
+    lam_c = np.zeros_like(xi_c, dtype=lam.dtype)
+    lam_c[0] = lam                  # lam e^s = lam + lam s + O(s^2)
+    c = symbol(Jet(xi_c), Jet(lam_c)).c
+    fact = [math.factorial(a) for a in range(max_alpha + 1)]
+    return c * np.array(fact)[:, None, None]
 
 
 def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
@@ -257,38 +306,33 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
                        max_alpha: int = 2) -> Certificate:
     """Estimate the multiplier constant of a symbol closure on a grid.
 
-    ``symbol`` takes (xi_vec, lam) with xi_vec of shape (1, npts), the
-    modulus of the frequency, and returns complex values of shape
-    (npts,).  The certificate constant is the max over the grid,
-    |alpha| <= max_alpha and n in {0, 1} of
-    |d^alpha (lam d/dlam)^n symbol| / bound.
+    ``symbol`` takes (xi, lam), xi the modulus of the frequency, and is
+    built from +, -, *, /, integer powers and ``np.sqrt`` of them; it is
+    evaluated once, on jets (``jet_derivatives``).  The certificate
+    constant is the max over the grid, |alpha| <= max_alpha and n in
+    {0, 1} of |d^alpha (lam d/dlam)^n symbol| / bound.
     """
     if claimed_type not in (1, 2):
         raise ValueError("claimed_type must be 1 or 2")
     if max_alpha < 0:
         raise ValueError(f"max_alpha = {max_alpha} must be >= 0")
     grid = grid or GridSpec(20, 7, 20)
-    xi_mod, lam = grid.points(sector)
-    xi_vec = xi_mod[None, :]
-    h = _step_sizes(xi_vec, lam)
-    denom_base = np.sqrt(np.abs(lam)) + xi_mod
-
-    worst = 0.0
+    xi, lam = grid.points(sector)
+    deriv = np.abs(jet_derivatives(symbol, xi, lam, max_alpha))
+    denom_base = np.sqrt(np.abs(lam)) + xi
     detail = {}
     for n in (0, 1):
-        f = symbol if n == 0 else _lambda_dilation(symbol)
         for na in range(max_alpha + 1):
-            val = np.abs(_partial_xi(f, xi_vec, lam, na, h))
             if claimed_type == 1:
                 bound = denom_base ** (claimed_order - na)
             else:
-                bound = denom_base ** claimed_order * xi_mod ** (-float(na))
-            ratio = float(np.max(val / bound))
-            detail[f"n={n},alpha={(na,)}"] = ratio
-            worst = max(worst, ratio)
+                bound = denom_base ** claimed_order * xi ** (-float(na))
+            ratio = deriv[na, n] / bound
+            detail[f"n={n},alpha={(na,)}"] = float(np.max(ratio))
     return Certificate(symbol_id=symbol_id, claimed_order=claimed_order,
                        claimed_type=claimed_type, sector=sector,
-                       grid_spec=grid, estimated_constant=worst,
+                       grid_spec=grid,
+                       estimated_constant=max(detail.values()),
                        max_alpha=max_alpha, detail=detail)
 
 
@@ -319,65 +363,28 @@ def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
 def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     """Closures for every certifiable symbol, keyed by id.
 
-    Values are (closure, claimed_order, claimed_type).  Closures accept
-    (xi_vec, lam) and tolerate array lam.  The closures that read
-    exponents share them: the registry owns one ``RootSet`` per distinct
-    (|xi'|^2, lam) it has been called at, keyed by the dtype, shape and
-    bytes of both arrays (a hit is exact), so a sweep over the registry
-    evaluates the square roots at each certificate stencil point once,
-    not once per symbol.  Each closure then evaluates its symbol's one
-    formula from that ``RootSet``.  The exponents are evaluated without
-    the branch-cut check because finite-difference stencils may
-    momentarily leave the open sector at its rim.  The memo lives as
-    long as the registry; one sweep holds 3 complex arrays per stencil
-    array.  ``dc`` stays an argument for the symbols benchmark, as in
-    ``scan_lower_bound``.
+    Values are (closure, claimed_order, claimed_type).  Closures take
+    (xi, lam) of one shape, xi the modulus |xi'|, as arrays or ``Jet``s.
+    One that reads exponents calls ``roots_t`` once, with ``check=False``:
+    the check reads a plain array's real and imaginary parts, and
+    ``Jet.sqrt`` checks a jet's value instead.  ``dc`` stays an argument
+    for the symbols benchmark, as in ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
-    # Each distinct array's (dtype, shape, bytes) is stored once and
-    # shared by every key that names it: at max_alpha = 2 a sweep's 105
-    # keys name 21 xi'^2 and 5 lam arrays.  A stored part keeps its hash,
-    # so the RootSet lookup hashes no array bytes.
-    parts: dict = {}
-    roots: dict = {}
-
-    def part(a):
-        key = (a.dtype.str, a.shape, a.tobytes())
-        # found by a hash of each element's first byte, a quarter of the
-        # cost of hashing every byte; a hit still compares every byte
-        same = parts.setdefault(key[:2] + (hash(key[2][::a.itemsize]),), [])
-        for known in same:
-            if known == key:
-                return known
-        same.append(key)
-        return key
 
     def of_roots(fn):
-        def closure(xi_vec, lam):
-            xi2 = np.sum(np.asarray(xi_vec) ** 2, axis=0)
-            lam = np.asarray(lam)
-            key = (part(xi2), part(lam))
-            r = roots.get(key)
-            if r is None:
-                r = roots[key] = roots_t(xi2, lam, dc, p.mu, check=False)
-            return fn(xi2, lam, r)
+        def closure(xi, lam):
+            xi2 = xi * xi
+            return fn(xi2, lam, roots_t(xi2, lam, dc, p.mu, check=False))
 
         return closure
 
-    def l_j(j, xi2, lam, r):
-        return frak_l(j, xi2, lam, r.omega, r.t1, r.t2, dc, p)
-
     reg = {
-        "xi_j": (lambda xi_vec, lam: xi_vec[0] + 0.0 * lam, 1.0, 1),
-        "sqrt_lambda": (lambda xi_vec, lam:
-                        np.sqrt(lam) + 0.0 * xi_vec[0], 1.0, 1),
-        "xi_sq": (lambda xi_vec, lam:
-                  np.sum(np.asarray(xi_vec) ** 2, axis=0) + 0.0 * lam, 2.0, 1),
-        "lambda": (lambda xi_vec, lam: lam + 0.0 * xi_vec[0], 2.0, 1),
-        "xi_over_abs": (lambda xi_vec, lam:
-                        xi_vec[0] / np.sqrt(np.sum(np.asarray(xi_vec) ** 2,
-                                                   axis=0)) + 0.0 * lam,
-                        0.0, 2),
+        "xi_j": (lambda xi, lam: xi, 1.0, 1),
+        "sqrt_lambda": (lambda xi, lam: np.sqrt(lam), 1.0, 1),
+        "xi_sq": (lambda xi, lam: xi * xi, 2.0, 1),
+        "lambda": (lambda xi, lam: lam, 2.0, 1),
+        "xi_over_abs": (lambda xi, lam: xi / np.sqrt(xi * xi), 0.0, 2),
     }
     for j in (1, 2):
         reg[f"t{j}"] = (of_roots(lambda xi2, lam, r, j=j:
@@ -392,10 +399,10 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
             j, r.omega, jth(j, r.t1, r.t2), dc, p)), 1.0, 1)
         reg[f"r{j}"] = (of_roots(lambda xi2, lam, r, j=j: r.r_frak(j)),
                         0.0, 1)
-        reg[f"l{j}"] = (of_roots(lambda xi2, lam, r, j=j: l_j(j, xi2, lam, r)),
-                        6.0, 1)
-        reg[f"l{j}_inv"] = (of_roots(lambda xi2, lam, r, j=j:
-                                     1.0 / l_j(j, xi2, lam, r)), -6.0, 1)
+        reg[f"l{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_l(
+            j, xi2, lam, r.omega, r.t1, r.t2, dc, p)), 6.0, 1)
+        reg[f"l{j}_inv"] = (of_roots(lambda xi2, lam, r, j=j: 1.0 / frak_l(
+            j, xi2, lam, r.omega, r.t1, r.t2, dc, p)), -6.0, 1)
     reg["a"] = (of_roots(lambda xi2, lam, r: frak_a(r.t1, r.t2, dc)), 1.0, 1)
     reg["b"] = (of_roots(lambda xi2, lam, r: frak_b(r.t1, r.t2, dc)), 1.0, 1)
     for s in (-2, -1, 1, 2):

@@ -45,9 +45,5 @@ class ZeroDenominator(KortewegError):
     """Ratio undefined because every input vanishes."""
 
 
-class DerivativeStepUnderflow(KortewegError):
-    """Finite-difference step collapsed below the resolvable scale."""
-
-
 class StepOutsideSector(KortewegError):
     """A lambda-derivative step would leave the sector."""

@@ -153,16 +153,11 @@ def radial_stencil(lam, sector: Sector | None = None):
     return points
 
 
-def richardson(fine, coarse):
-    """One Richardson step for central differences at steps h/2 and h."""
-    return (4.0 * fine - coarse) / 3.0
-
-
 def lam_derivative(up_half, dn_half, up, dn):
     """lam d/dlam from values at lam times the four ``radial_factors``:
     central differences at both steps, Richardson-extrapolated once."""
-    return richardson((up_half - dn_half) / LAM_REL_STEP,
-                      (up - dn) / (2 * LAM_REL_STEP))
+    fine = (up_half - dn_half) / LAM_REL_STEP
+    return (4.0 * fine - (up - dn) / (2 * LAM_REL_STEP)) / 3.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Each exponent (omega, t_j) and each eliminated boundary symbol (m_j, p_j,
 q_j, l_j, a, b) is written once, the indexed ones with the index j as an
 argument, and reads only the exponents it needs.  ``frak_symbols`` composes
 them into the bundle the half-space solver reads; certification evaluates
-each symbol alone, from exponents that the symbols of one registry share.
+each symbol alone, once per grid point, on Taylor jets that pass through
+the same formulas.
 The "frak" symbols are evaluated only through their eliminated polynomial
 forms; the raw quotient definitions divide by ``lam`` and implicitly by
 ``t2 - t1`` and exist here solely as test oracles.
@@ -19,9 +20,8 @@ forms; the raw quotient definitions divide by ``lam`` and implicitly by
 The formulas take the spectral constants ``dc`` (s1, s2) as an argument
 beside the parameters: they are the formula layer under the solvers and
 the certificates, evaluated many times per derivation (in a certificate
-sweep, the exponents once per stencil point and each symbol once per
-stencil point), and each of their callers derives ``dc`` once from the
-same parameters it passes.
+sweep, the exponents and the symbol once per certificate), and each of
+their callers derives ``dc`` once from the same parameters it passes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 def principal_sqrt(z, check: bool = True):
     """Principal branch square root; rejects the closed negative real axis."""
-    z = np.asarray(z, dtype=complex)
+    z = z + 0j
     if check:
         on_cut = (z.imag == 0.0) & (z.real <= 0.0)
         if np.any(on_cut):
@@ -55,15 +55,13 @@ def principal_sqrt(z, check: bool = True):
 
 def omega_lambda(xi_prime_sq, lam, mu: float, check: bool = True):
     """omega = sqrt(|xi'|^2 + lam/mu), Re > 0 on the sector."""
-    return principal_sqrt(np.asarray(xi_prime_sq) + np.asarray(lam) / mu,
-                          check)
+    return principal_sqrt(xi_prime_sq + lam / mu, check)
 
 
 def t_root(j: int, xi_prime_sq, lam, dc: DerivedConstants,
            check: bool = True):
     """t_j = sqrt(|xi'|^2 + s_j lam), Re > 0 on the sector."""
-    return principal_sqrt(np.asarray(xi_prime_sq)
-                          + dc.s(j) * np.asarray(lam), check)
+    return principal_sqrt(xi_prime_sq + dc.s(j) * lam, check)
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,8 @@ def frak_m(j: int, xi_prime_sq, lam, omega, t_j, dc: DerivedConstants,
            p: MaterialParams):
     """m_j = lam (t_j + omega) / mu^2 - 4 (s_j - 1/mu) |xi'|^2 omega."""
     mu_inv = 1.0 / p.mu
-    return (mu_inv * mu_inv * np.asarray(lam) * (t_j + omega)
-            - 4.0 * (dc.s(j) - mu_inv) * np.asarray(xi_prime_sq) * omega)
+    return (mu_inv * mu_inv * lam * (t_j + omega)
+            - 4.0 * (dc.s(j) - mu_inv) * xi_prime_sq * omega)
 
 
 def frak_p(j: int, omega, t_j, dc: DerivedConstants, p: MaterialParams):
@@ -192,14 +190,14 @@ def frak_l(j: int, xi_prime_sq, lam, omega, t1, t2, dc: DerivedConstants,
     """l_j = lam t_j (t_j + omega) (t2^2 + t2 t1 + t1^2 - |xi'|^2) / mu^2
     + 4 omega |xi'|^2 (s_j t_j omega (t_j + omega)
     - (s_j - 1/mu) t1 t2 (t2 + t1))."""
-    xi2 = np.asarray(xi_prime_sq)
     mu_inv = 1.0 / p.mu
     s_j = dc.s(j)
     t_j = jth(j, t1, t2)
-    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi2
-    return (mu_inv * mu_inv * np.asarray(lam) * t_j * (t_j + omega) * trip
-            + 4.0 * omega * xi2 * (s_j * t_j * omega * (t_j + omega)
-                                   - (s_j - mu_inv) * t1 * t2 * (t2 + t1)))
+    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi_prime_sq
+    return (mu_inv * mu_inv * lam * t_j * (t_j + omega) * trip
+            + 4.0 * omega * xi_prime_sq * (
+                s_j * t_j * omega * (t_j + omega)
+                - (s_j - mu_inv) * t1 * t2 * (t2 + t1)))
 
 
 def frak_a(t1, t2, dc: DerivedConstants):

@@ -1,17 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from korteweg import certify, symbols
-from korteweg.certify import (Certificate, GridSpec, _step_sizes,
-                              certify_multiplier, certify_registry,
-                              empirical_sigma_star, scan_lower_bound,
+from korteweg.certify import (Certificate, GridSpec, certify_multiplier,
+                              certify_registry, empirical_sigma_star,
+                              jet_derivatives, scan_lower_bound,
                               symbol_registry)
-from korteweg.errors import DerivativeStepUnderflow, EmptyGrid
-from korteweg.model import (LAM_REL_STEP, MaterialParams, Sector,
-                            derive_constants)
-from korteweg.verification import lambda_derivative_family
+from korteweg.errors import EmptyGrid
+from korteweg.model import MaterialParams, Sector, derive_constants
 
 from paramsets import ACCEPTANCE_SETS
 
@@ -92,7 +91,7 @@ class TestCertify:
         return Sector(DC.sigma_w + 0.25, 0.0)
 
     def test_constant_symbol(self):
-        cert = certify_multiplier(lambda xi, lam: np.ones_like(lam), "one",
+        cert = certify_multiplier(lambda xi, lam: 1.0 + 0.0 * lam, "one",
                                   0.0, 1, self.sector(), P)
         assert cert.estimated_constant == pytest.approx(1.0, abs=1e-9)
 
@@ -119,13 +118,15 @@ class TestCertify:
                                   P, grid=GridSpec(10, 5, 10))
         assert ty == 2 and np.isfinite(cert.estimated_constant)
 
-    def test_step_underflow_guard(self):
-        xi = np.array([[1.0]])
-        lam = np.array([1.0 + 0j])
-        h = _step_sizes(xi, lam)
-        assert h[0] > 0
-        with pytest.raises(DerivativeStepUnderflow):
-            _step_sizes(xi, lam, factor=1e-20)
+    def test_xi_over_abs_is_constant(self):
+        # xi'/|xi'| is 1 for one tangential dimension: every derivative
+        # vanishes, so the constant is the value's
+        fn, s, ty = symbol_registry(P, DC)["xi_over_abs"]
+        cert = certify_multiplier(fn, "xi_over_abs", s, ty, self.sector(), P)
+        assert cert.estimated_constant == pytest.approx(1.0, abs=1e-12)
+        for key, ratio in cert.detail.items():
+            if "alpha=(0,)" not in key:
+                assert ratio <= 1e-12, key
 
     def test_certificate_json_round_trip(self):
         cert = Certificate(symbol_id="t1", claimed_order=1.0,
@@ -167,42 +168,21 @@ def bundle_value(name, roots, fr):
     return getattr(fr, name)
 
 
-def stencil_points(sector, dim):
-    """Sector grid points (rim angles included) and the stencil points
-    around them: xi' offsets 0, +-h/2, +-h, +-2h times lam factors 1,
-    1 +- eps/2, 1 +- eps, as the nested differences of certify_multiplier
-    visit."""
-    xi, lam = GridSpec(8, 5, 8).points(sector)
-    xi_vec = np.zeros((dim, xi.size))
-    xi_vec[0] = xi
-    if dim == 2:
-        xi_vec[1] = 0.5 * xi
-    h = _step_sizes(xi_vec, lam)
-    xs, lams = [], []
-    for off in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
-        for fac in (1.0, 1 + LAM_REL_STEP / 2, 1 - LAM_REL_STEP / 2,
-                    1 + LAM_REL_STEP, 1 - LAM_REL_STEP):
-            shifted = xi_vec.copy()
-            shifted[0] = shifted[0] + off * h
-            xs.append(shifted)
-            lams.append(lam * fac)
-    return np.concatenate(xs, axis=1), np.concatenate(lams)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("refine", [1, 2])
 @pytest.mark.parametrize("p", [PARAM_SETS[0], PARAM_SETS[3]],
                          ids=["eta<0", "eta>0"])
-def test_registry_matches_bundle_bit_for_bit(p, dim):
+def test_registry_matches_bundle_bit_for_bit(p, refine):
+    # sector grid points, rim angles included, at two densities
     dc = derive_constants(p)
-    xi_vec, lam = stencil_points(Sector(dc.sigma_w + 0.05, 0.0), dim)
-    xi2 = np.sum(xi_vec ** 2, axis=0)
-    roots = symbols.roots_t(xi2, lam, dc, p.mu, check=False)
-    fr = symbols.frak_symbols(xi2, lam, dc, p, roots)
+    xi, lam = GridSpec(8, 5, 8).refine(refine).points(
+        Sector(dc.sigma_w + 0.05, 0.0))
+    roots = symbols.roots_t(xi * xi, lam, dc, p.mu)
+    fr = symbols.frak_symbols(xi * xi, lam, dc, p, roots)
     reg = symbol_registry(p, dc)
     assert len(reg) - len(ELEMENTARY) == 22
     for name, (fn, _, _) in reg.items():
         if name not in ELEMENTARY:
-            assert np.array_equal(fn(xi_vec, lam),
+            assert np.array_equal(fn(xi, lam),
                                   bundle_value(name, roots, fr)), name
 
 
@@ -236,43 +216,28 @@ def test_shared_exponents_leave_certificates_unchanged(p):
             certify_multiplier(alone, name, order, typ, sec, p, grid), name
 
 
-def test_registry_evaluates_each_stencil_point_once(monkeypatch):
-    calls = []
+def test_each_certificate_evaluates_its_symbol_once(monkeypatch):
+    roots_calls = []
     roots_t = certify.roots_t
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_roots(*args, **kwargs):
+        roots_calls.append(1)
         return roots_t(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "roots_t", counted)
+    monkeypatch.setattr(certify, "roots_t", counted_roots)
     sec = Sector(DC.sigma_w + 0.25, 0.0)
-    grid = GridSpec(6, 3, 6)
+    for name, (fn, order, typ) in symbol_registry(P, DC).items():
+        calls = []
 
-    def certify_all(names):
-        calls.clear()
-        reg = symbol_registry(P, DC)
-        for name in names:
-            fn, order, typ = reg[name]
-            certify_multiplier(fn, name, order, typ, sec, P, grid)
-        return len(calls)
+        def counted(xi, lam, fn=fn):
+            calls.append(1)
+            return fn(xi, lam)
 
-    reading = sorted(set(symbol_registry(P, DC)) - ELEMENTARY)
-    assert len(reading) == 22
-    assert certify_all(reading) == certify_all(["l1"]) > 0
-
-
-def test_registry_hits_only_equal_arrays():
-    # a float64 lam and its complex128 view hold the same bytes; 0.5 and
-    # 1.0 differ only in their two highest bytes
-    xi_vec = np.array([[0.7]])
-    lam_real = np.array([3.0, 0.5])
-    lams = [lam_real, lam_real.view(complex), np.array([3.0, 1.0])]
-    shared = symbol_registry(P, DC)
-    for name in sorted(set(shared) - ELEMENTARY):
-        fn = shared[name][0]
-        for lam in lams:
-            fresh = symbol_registry(P, DC)[name][0]
-            assert np.array_equal(fn(xi_vec, lam), fresh(xi_vec, lam)), name
+        roots_calls.clear()
+        certify_multiplier(counted, name, order, typ, sec, P,
+                           GridSpec(6, 3, 6), max_alpha=3)
+        assert len(calls) == 1, name
+        assert len(roots_calls) == (name not in ELEMENTARY), name
 
 
 def test_certify_registry_is_the_sigma_star_sweep():
@@ -289,16 +254,39 @@ def test_certify_registry_refuses_unknown_names():
         certify_registry(P, names=["p1", "nope"])
 
 
-@pytest.mark.parametrize("name", ["l1", "r2", "omega^-1"])
-def test_lambda_dilation_is_the_verification_rule(name):
-    # certify and the R-bound derivative families share one lam d/dlam
-    # rule: per lam, the dilation of a registry closure on a xi grid equals
-    # lambda_derivative_family of the same closure, bit for bit
-    fn, _, _ = symbol_registry(P, DC)[name]
-    xi_vec = np.logspace(-2, 2, 9)[None, :]
-    for lam in (3.0 + 0.0j, 40.0 * np.exp(1.2j), 2e3 * np.exp(-2.0j)):
-        lams = np.full(xi_vec.shape[1], lam)
-        dilated = certify._lambda_dilation(fn)(xi_vec, lams)
-        ref = lambda_derivative_family(
-            lambda z: fn(xi_vec, np.full(xi_vec.shape[1], z)), lam)
-        assert np.array_equal(dilated, ref)
+def mp_roots_t(xi2, lam, dc, mu, check=True):
+    """roots_t at mpmath precision: the three principal square roots."""
+    return symbols.RootSet(omega=mp.sqrt(xi2 + lam / mu),
+                           t1=mp.sqrt(xi2 + dc.s1 * lam),
+                           t2=mp.sqrt(xi2 + dc.s2 * lam),
+                           s1=dc.s1, s2=dc.s2, mu=mu)
+
+
+@pytest.mark.parametrize("p", [PARAM_SETS[0], PARAM_SETS[2]],
+                         ids=["eta<0", "eta>0"])
+def test_jet_derivatives_match_mpmath(p, monkeypatch):
+    # at the argmax of every certificate entry of every exponent-reading
+    # symbol, the jet derivative equals a 40-digit mpmath derivative of
+    # the same closure, relative to the larger of its size and the bound
+    # there (mixed derivatives of omega^2 vanish exactly)
+    dc = derive_constants(p)
+    xi, lam = GridSpec(20, 7, 20).points(Sector(dc.sigma_w + 0.1, 0.0))
+    denom = np.sqrt(np.abs(lam)) + xi
+    reg = symbol_registry(p, dc)
+    derivs = {name: jet_derivatives(fn, xi, lam, 2)
+              for name, (fn, _, _) in reg.items() if name not in ELEMENTARY}
+    monkeypatch.setattr(certify, "roots_t", mp_roots_t)
+    with mp.workdps(40):
+        for name, deriv in derivs.items():
+            fn, order, _ = reg[name]
+            for a in range(3):
+                for n in (0, 1):
+                    bound = denom ** (order - a)
+                    k = int(np.argmax(np.abs(deriv[a, n]) / bound))
+                    lam0 = mp.mpc(lam[k])
+                    exact = complex(mp.diff(
+                        lambda x, s: fn(x, lam0 * mp.exp(s)),
+                        (mp.mpf(xi[k]), 0), (a, n)))
+                    err = abs(deriv[a, n, k] - exact)
+                    assert err <= 1e-10 * max(abs(exact), bound[k]), \
+                        (name, a, n, deriv[a, n, k], exact)
