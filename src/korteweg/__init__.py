@@ -19,7 +19,7 @@ from .resolvent import (FullData, HalfGeometry, auto_lambda0,
                         fx_norm, residual_full, solve_gamma_zero,
                         solve_general)
 from .verification import (RBoundEstimate, estimate_rbound,
-                           lambda_derivative_family, rademacher_ratio)
+                           lambda_derivative_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

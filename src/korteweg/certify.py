@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyGrid
 from .model import (DerivedConstants, MaterialParams, Sector,
-                    derive_constants, jth)
+                    default_sigma, derive_constants)
 from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
                       lopatinskii, principal_sqrt, roots_t,
                       whole_space_symbol_P)
@@ -104,12 +104,10 @@ def _scan_values(target: str, xi, lam, p: MaterialParams,
     if target == "re_t2":
         return roots.t2.real / denom
     if target in ("l1", "l2"):
-        val = frak_l(int(target[1]), xi2, lam, roots.omega, roots.t1,
-                     roots.t2, dc, p)
-        return np.abs(val) / denom ** 6
+        return np.abs(frak_l(int(target[1]), roots)) / denom ** 6
     # detL: report through the factorization: |detL| t1 |t1+omega| /
     # (|lam| |t2-t1|) recovers |l1|, scaled like the l-scan
-    L = lopatinskii(xi2, lam, dc, p, roots)
+    L = lopatinskii(roots)
     num = np.abs(L.det_factored) * np.abs(roots.t1) * np.abs(
         roots.t1 + roots.omega)
     den = np.abs(lam) * np.abs(roots.t2 - roots.t1)
@@ -191,6 +189,11 @@ def empirical_sigma_star(p: MaterialParams, target: str = "l1",
 
 @dataclass(frozen=True)
 class Certificate:
+    """``detail`` holds each derivative entry's maximum ratio; ``argmax``
+    says where the largest, ``estimated_constant``, is reached: the
+    entry ({"n", "alpha": [a]}) and the grid point ({"xi", "lambda":
+    [re, im]})."""
+
     symbol_id: str
     claimed_order: float
     claimed_type: int
@@ -198,6 +201,7 @@ class Certificate:
     grid_spec: GridSpec
     estimated_constant: float
     max_alpha: int
+    argmax: dict
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -205,7 +209,7 @@ class Certificate:
                 "type": self.claimed_type, "sigma": self.sector.sigma,
                 "delta": self.sector.delta, "C": self.estimated_constant,
                 "grid": self.grid_spec.to_json(),
-                "max_alpha": self.max_alpha}
+                "max_alpha": self.max_alpha, "argmax": self.argmax}
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -227,6 +231,16 @@ class Jet:
 
     def __init__(self, c):
         self.c = c
+
+    @property
+    def real(self):
+        """The real part of the value, as ``principal_sqrt`` reads it."""
+        return self.c[0, 0].real
+
+    @property
+    def imag(self):
+        """The imaginary part of the value."""
+        return self.c[0, 0].imag
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -320,7 +334,7 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
     xi, lam = grid.points(sector)
     deriv = np.abs(jet_derivatives(symbol, xi, lam, max_alpha))
     denom_base = np.sqrt(np.abs(lam)) + xi
-    detail = {}
+    detail, where = {}, {}
     for n in (0, 1):
         for na in range(max_alpha + 1):
             if claimed_type == 1:
@@ -328,20 +342,25 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
             else:
                 bound = denom_base ** claimed_order * xi ** (-float(na))
             ratio = deriv[na, n] / bound
-            detail[f"n={n},alpha={(na,)}"] = float(np.max(ratio))
+            key = f"n={n},alpha={(na,)}"
+            k = int(np.argmax(ratio))
+            detail[key] = float(ratio[k])
+            where[key] = {"n": n, "alpha": [na], "xi": float(xi[k]),
+                          "lambda": [float(lam[k].real),
+                                     float(lam[k].imag)]}
+    top = max(detail, key=detail.get)
     return Certificate(symbol_id=symbol_id, claimed_order=claimed_order,
                        claimed_type=claimed_type, sector=sector,
-                       grid_spec=grid,
-                       estimated_constant=max(detail.values()),
-                       max_alpha=max_alpha, detail=detail)
+                       grid_spec=grid, estimated_constant=detail[top],
+                       max_alpha=max_alpha, argmax=where[top], detail=detail)
 
 
 def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
-    """Certify registry symbols at sigma = empirical sigma* + 0.1.
+    """Certify registry symbols at the sector angle
+    ``default_sigma(sigma*, 0.1)``, sigma* the empirical one.
 
-    The angle is capped at 1.45 to stay inside (0, pi/2).  ``names``
-    defaults to the whole registry in sorted order, and a name outside
-    it is refused; the grid is ``certify_multiplier``'s default.
+    ``names`` defaults to the whole registry in sorted order, and a name
+    outside it is refused; the grid is ``certify_multiplier``'s default.
     Returns (sigma_star, sector, certificates).
     """
     dc = derive_constants(p)
@@ -351,7 +370,7 @@ def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
         raise ValueError(f"unknown symbols {unknown}; the registry holds "
                          f"{sorted(reg)}")
     sigma_star = empirical_sigma_star(p, "l1", dc=dc)
-    sec = Sector(min(sigma_star + 0.1, 1.45), 0.0)
+    sec = Sector(default_sigma(sigma_star, 0.1), 0.0)
     certs = []
     for name in names or sorted(reg):
         fn, order, typ = reg[name]
@@ -365,17 +384,15 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
 
     Values are (closure, claimed_order, claimed_type).  Closures take
     (xi, lam) of one shape, xi the modulus |xi'|, as arrays or ``Jet``s.
-    One that reads exponents calls ``roots_t`` once, with ``check=False``:
-    the check reads a plain array's real and imaginary parts, and
-    ``Jet.sqrt`` checks a jet's value instead.  ``dc`` stays an argument
-    for the symbols benchmark, as in ``scan_lower_bound``.
+    One that reads exponents calls ``roots_t`` once and passes the
+    ``RootSet`` to the symbol's formula.  ``dc`` stays an argument for
+    the symbols benchmark, as in ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
 
     def of_roots(fn):
         def closure(xi, lam):
-            xi2 = xi * xi
-            return fn(xi2, lam, roots_t(xi2, lam, dc, p.mu, check=False))
+            return fn(roots_t(xi * xi, lam, dc, p.mu))
 
         return closure
 
@@ -387,25 +404,19 @@ def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
         "xi_over_abs": (lambda xi, lam: xi / np.sqrt(xi * xi), 0.0, 2),
     }
     for j in (1, 2):
-        reg[f"t{j}"] = (of_roots(lambda xi2, lam, r, j=j:
-                                 jth(j, r.t1, r.t2)), 1.0, 1)
-        reg[f"t{j}+omega"] = (of_roots(lambda xi2, lam, r, j=j:
-                                       jth(j, r.t1, r.t2) + r.omega), 1.0, 1)
-        reg[f"m{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_m(
-            j, xi2, lam, r.omega, jth(j, r.t1, r.t2), dc, p)), 3.0, 1)
-        reg[f"p{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_p(
-            j, r.omega, jth(j, r.t1, r.t2), dc, p)), 1.0, 1)
-        reg[f"q{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_q(
-            j, r.omega, jth(j, r.t1, r.t2), dc, p)), 1.0, 1)
-        reg[f"r{j}"] = (of_roots(lambda xi2, lam, r, j=j: r.r_frak(j)),
-                        0.0, 1)
-        reg[f"l{j}"] = (of_roots(lambda xi2, lam, r, j=j: frak_l(
-            j, xi2, lam, r.omega, r.t1, r.t2, dc, p)), 6.0, 1)
-        reg[f"l{j}_inv"] = (of_roots(lambda xi2, lam, r, j=j: 1.0 / frak_l(
-            j, xi2, lam, r.omega, r.t1, r.t2, dc, p)), -6.0, 1)
-    reg["a"] = (of_roots(lambda xi2, lam, r: frak_a(r.t1, r.t2, dc)), 1.0, 1)
-    reg["b"] = (of_roots(lambda xi2, lam, r: frak_b(r.t1, r.t2, dc)), 1.0, 1)
+        reg[f"t{j}"] = (of_roots(lambda r, j=j: r.t(j)), 1.0, 1)
+        reg[f"t{j}+omega"] = (of_roots(lambda r, j=j: r.t(j) + r.omega),
+                              1.0, 1)
+        reg[f"m{j}"] = (of_roots(lambda r, j=j: frak_m(j, r)), 3.0, 1)
+        reg[f"p{j}"] = (of_roots(lambda r, j=j: frak_p(j, r)), 1.0, 1)
+        reg[f"q{j}"] = (of_roots(lambda r, j=j: frak_q(j, r)), 1.0, 1)
+        reg[f"r{j}"] = (of_roots(lambda r, j=j: r.r_frak(j)), 0.0, 1)
+        reg[f"l{j}"] = (of_roots(lambda r, j=j: frak_l(j, r)), 6.0, 1)
+        reg[f"l{j}_inv"] = (of_roots(lambda r, j=j: 1.0 / frak_l(j, r)),
+                            -6.0, 1)
+    reg["a"] = (of_roots(frak_a), 1.0, 1)
+    reg["b"] = (of_roots(frak_b), 1.0, 1)
     for s in (-2, -1, 1, 2):
-        reg[f"omega^{s}"] = (
-            of_roots(lambda xi2, lam, r, s=s: r.omega ** s), float(s), 1)
+        reg[f"omega^{s}"] = (of_roots(lambda r, s=s: r.omega ** s),
+                             float(s), 1)
     return reg

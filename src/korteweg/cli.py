@@ -34,7 +34,8 @@ from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
 from .halfspace import residual_reduced, solve_reduced
 from .manufactured import (InteriorBump, ManufacturedPair, manufactured_data,
                            manufactured_fields)
-from .model import MaterialParams, Sector, derive_constants, validate
+from .model import (MaterialParams, Sector, default_sigma, derive_constants,
+                    validate)
 from .resolvent import (HalfGeometry, contraction_probe, residual_full,
                         solve_general)
 from .verification import FAMILIES, estimate_rbound
@@ -213,7 +214,7 @@ def _scan_pair(cfg: ScenarioConfig, dc):
     """The config's scan with its (xi, lam, ratio) points, and the scan
     on the 2x refined grid."""
     target = cfg.extra.get("target", "l1")
-    sector = cfg.sector(dc.sigma_w + 0.2, 0.0)
+    sector = cfg.sector(default_sigma(dc.sigma_w, 0.2), 0.0)
     grid = _scan_grid(cfg)
     result, points = scan_lower_bound(target, sector, grid, cfg.params, dc,
                                       return_points=True)
@@ -342,7 +343,8 @@ def _rbound_estimates(cfg: ScenarioConfig, trials: int) -> dict:
             fam in FAMILIES for fam in fams)):
         raise ValueError(f"family must be one of {list(FAMILIES)} or a "
                          f"nonempty list of them, got {fams!r}")
-    sector = cfg.sector(derive_constants(cfg.params).sigma_w + 0.4, 0.5)
+    sector = cfg.sector(
+        default_sigma(derive_constants(cfg.params).sigma_w, 0.4), 0.5)
     geo = _geometry(cfg)
     m_max = cfg.get("m_max", 8, int)
     return {fam: estimate_rbound(fam, sector, cfg.params, geo, m_max=m_max,
@@ -375,11 +377,12 @@ def _run_probe(cfg: ScenarioConfig) -> Output:
 
 
 def _report_scans(cfg: ScenarioConfig) -> list:
-    """The l1 and l2 scans at the scan default sigma_w + 0.2, and the P
-    scan at sigma_w + 0.1 and pi/3, each with its refinement drift."""
+    """The l1 and l2 scans at the scan default sigma, and the P scan at
+    ``default_sigma(sigma_w, 0.1)`` and pi/3, each with its refinement
+    drift."""
     dc = derive_constants(cfg.params)
     jobs = [{"target": "l1"}, {"target": "l2"},
-            {"target": "P", "sigma": dc.sigma_w + 0.1},
+            {"target": "P", "sigma": default_sigma(dc.sigma_w, 0.1)},
             {"target": "P", "sigma": math.pi / 3}]
     section = []
     for job in jobs:

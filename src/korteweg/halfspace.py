@@ -226,19 +226,19 @@ class ModeSolution:
                 "rho1": pack(self.rho1), "rho2": pack(self.rho2)}
 
 
-def _lopatinskii_rhs(xi, xi2, roots, g_hat0, h_hat0, lam, p):
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
+def _lopatinskii_rhs(xi, roots, g_hat0, h_hat0):
+    om, t1, t2, xi2, mu = roots.omega, roots.t1, roots.t2, roots.xi2, roots.mu
     n = len(xi) + 1
     ixi_g = sum(1j * xi[j] * g_hat0[j] for j in range(n - 1))
-    rhs1 = (-2.0 / p.mu * t1 * t2 * om * ixi_g
-            + t1 * t2 * (om * om + xi2) / p.mu * g_hat0[n - 1])
-    rhs2 = lam * h_hat0
+    rhs1 = (-2.0 / mu * t1 * t2 * om * ixi_g
+            + t1 * t2 * (om * om + xi2) / mu * g_hat0[n - 1])
+    rhs2 = roots.lam * h_hat0
     return rhs1, rhs2
 
 
-def _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0, beta_n, gamma_n, p):
+def _amplitudes_from_bn_gn(xi, roots, g_hat0, beta_n, gamma_n):
     """alpha from the boundary rows, tangential beta/gamma by proportion."""
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
+    om, t1, t2, xi2, mu = roots.omega, roots.t1, roots.t2, roots.xi2, roots.mu
     n = len(xi) + 1
     alpha = np.empty((n,) + np.shape(beta_n), dtype=complex)
     beta = np.empty_like(alpha)
@@ -248,13 +248,13 @@ def _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0, beta_n, gamma_n, p):
     for j in range(n - 1):
         beta[j] = -1j * xi[j] / t1 * beta_n
         gamma[j] = -1j * xi[j] / t2 * gamma_n
-    alpha[n - 1] = (g_hat0[n - 1] * t1 * t2 / p.mu
+    alpha[n - 1] = (g_hat0[n - 1] * t1 * t2 / mu
                     + t2 * (2 * t1 * om - om * om - xi2) * beta_n
                     + t1 * (2 * t2 * om - om * om - xi2) * gamma_n) \
         / (2.0 * t1 * t2 * om)
     for j in range(n - 1):
-        alpha[j] = (g_hat0[j] / p.mu
-                    + 1j * xi[j] / (2 * p.mu * om) * g_hat0[n - 1]
+        alpha[j] = (g_hat0[j] / mu
+                    + 1j * xi[j] / (2 * mu * om) * g_hat0[n - 1]
                     + 1j * xi[j] * (4 * t1 * om - 3 * om * om - xi2)
                     / (2 * t1 * om) * beta_n
                     + 1j * xi[j] * (4 * t2 * om - 3 * om * om - xi2)
@@ -262,8 +262,8 @@ def _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0, beta_n, gamma_n, p):
     return alpha, beta, gamma
 
 
-def _check_singular(fr: FrakSymbols, xi2, lam):
-    scale = (np.sqrt(np.abs(lam)) + np.sqrt(xi2)) ** 6
+def _check_singular(fr: FrakSymbols, roots: RootSet):
+    scale = (np.sqrt(np.abs(roots.lam)) + np.sqrt(roots.xi2)) ** 6
     bad = (np.abs(fr.l1) < SINGULAR_TOL * scale) \
         | (np.abs(fr.l2) < SINGULAR_TOL * scale)
     if np.any(bad):
@@ -274,20 +274,18 @@ def _check_singular(fr: FrakSymbols, xi2, lam):
 def coefficients_direct(xi, lam, g_hat0, h_hat0,
                         p: MaterialParams) -> ModeSolution:
     """Stacked 2x2 linear solve for (beta_N, gamma_N); oracle path."""
-    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
-    roots = roots_t(xi2, lam, dc, p.mu)
-    L = lopatinskii(xi2, lam, dc, p, roots)
-    fr = frak_symbols(xi2, lam, dc, p, roots)
-    _check_singular(fr, xi2, lam)
-    rhs1, rhs2 = _lopatinskii_rhs(xi, xi2, roots, g_hat0, h_hat0, lam, p)
+    roots = roots_t(xi2, lam, derive_constants(p), p.mu)
+    L = lopatinskii(roots)
+    _check_singular(frak_symbols(roots), roots)
+    rhs1, rhs2 = _lopatinskii_rhs(xi, roots, g_hat0, h_hat0)
     rhs = np.stack([np.broadcast_to(rhs1, np.shape(L.det_direct)),
                     np.broadcast_to(rhs2, np.shape(L.det_direct))], axis=-1)
     sol = np.linalg.solve(L.matrix, rhs[..., None])[..., 0]
     beta_n, gamma_n = sol[..., 0], sol[..., 1]
-    alpha, beta, gamma = _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0,
-                                                beta_n, gamma_n, p)
+    alpha, beta, gamma = _amplitudes_from_bn_gn(xi, roots, g_hat0, beta_n,
+                                                gamma_n)
     rho1 = (roots.t1 ** 2 - xi2) / (lam * roots.t1) * beta_n
     rho2 = (roots.t2 ** 2 - xi2) / (lam * roots.t2) * gamma_n
     return ModeSolution(xi=xi, lam=lam, roots=roots, alpha=alpha, beta=beta,
@@ -297,13 +295,11 @@ def coefficients_direct(xi, lam, g_hat0, h_hat0,
 def coefficients_closed_form(xi, lam, g_hat0, h_hat0,
                              p: MaterialParams) -> ModeSolution:
     """Cofactor/determinant quotients with the factored determinant."""
-    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
-    roots = roots_t(xi2, lam, dc, p.mu)
-    L = lopatinskii(xi2, lam, dc, p, roots)
-    fr = frak_symbols(xi2, lam, dc, p, roots)
-    _check_singular(fr, xi2, lam)
+    roots = roots_t(xi2, lam, derive_constants(p), p.mu)
+    L = lopatinskii(roots)
+    _check_singular(frak_symbols(roots), roots)
     om, t1, t2 = roots.omega, roots.t1, roots.t2
     n = len(xi) + 1
     ixi_g = sum(1j * xi[j] * g_hat0[j] for j in range(n - 1))
@@ -316,12 +312,12 @@ def coefficients_closed_form(xi, lam, g_hat0, h_hat0,
                + t1 * t2 * (om * om + xi2) * L.L21 / (p.mu * det)
                * g_hat0[n - 1]
                + lam * L.L22 / det * h_hat0)
-    alpha, beta, gamma = _amplitudes_from_bn_gn(xi, xi2, roots, g_hat0,
-                                                beta_n, gamma_n, p)
+    alpha, beta, gamma = _amplitudes_from_bn_gn(xi, roots, g_hat0, beta_n,
+                                                gamma_n)
     # t_j^2 - |xi|^2 = s_j lam exactly, so the density amplitudes are
     # s_j / t_j times the channel amplitude: no explicit 1/lam
-    rho1 = dc.s1 / t1 * beta_n
-    rho2 = dc.s2 / t2 * gamma_n
+    rho1 = roots.s1 / t1 * beta_n
+    rho2 = roots.s2 / t2 * gamma_n
     return ModeSolution(xi=xi, lam=lam, roots=roots, alpha=alpha, beta=beta,
                         gamma=gamma, rho1=rho1, rho2=rho2)
 
@@ -333,14 +329,12 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, p: MaterialParams):
     contain only the eliminated symbols; kernels M0/M1/M2 absorb every
     root-difference quotient.
     """
-    dc = derive_constants(p)
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
-    roots = roots_t(xi2, lam, dc, p.mu)
-    fr = frak_symbols(xi2, lam, dc, p, roots)
-    _check_singular(fr, xi2, lam)
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
-    s1, s2 = dc.s1, dc.s2
+    roots = roots_t(xi2, lam, derive_constants(p), p.mu)
+    fr = frak_symbols(roots)
+    _check_singular(fr, roots)
+    om, t1, t2, s1, s2 = roots.omega, roots.t1, roots.t2, roots.s1, roots.s2
     mu = p.mu
     n = len(xi) + 1
     gN = g_hat0[n - 1]

@@ -52,10 +52,9 @@ def manufactured_boundary_modes(grid: TangentialGrid, lam: complex,
     cancellation, the tangential beta/gamma from the proportionality
     relations and the density amplitudes from the mass row.
     """
-    dc = derive_constants(p)
     xi = tuple(grid.xi_mesh())
     xi2 = grid.xi_sq()
-    roots = roots_t(xi2, lam, dc, p.mu)
+    roots = roots_t(xi2, lam, derive_constants(p), p.mu)
     n = grid.dim_t + 1
     mask = random_mode_mask(grid, rng, kmax)
 
@@ -79,8 +78,8 @@ def manufactured_boundary_modes(grid: TangentialGrid, lam: complex,
     alpha[n - 1] = (ixi_alpha - xi2 / roots.t1 * beta_n
                     - xi2 / roots.t2 * gamma_n) / roots.omega \
         + beta_n + gamma_n
-    rho1 = dc.s1 / roots.t1 * beta_n
-    rho2 = dc.s2 / roots.t2 * gamma_n
+    rho1 = roots.s1 / roots.t1 * beta_n
+    rho2 = roots.s2 / roots.t2 * gamma_n
     return ModeSolution(xi=xi, lam=lam, roots=roots, alpha=alpha, beta=beta,
                         gamma=gamma, rho1=rho1, rho2=rho2)
 

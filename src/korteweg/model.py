@@ -101,6 +101,14 @@ class DerivedConstants:
         return jth(j, self.s1, self.s2)
 
 
+def default_sigma(floor: float, step: float) -> float:
+    """A default sector angle above ``floor``: floor + step while that is
+    below pi/2, otherwise the midpoint of floor and pi/2."""
+    if floor + step < math.pi / 2:
+        return floor + step
+    return 0.5 * (floor + math.pi / 2)
+
+
 @dataclass(frozen=True)
 class Sector:
     """The resolvent region: |arg z| < pi - sigma and |z| > delta."""

@@ -8,20 +8,17 @@ sector the arguments stay off the closed negative real axis, which is
 checked (not assumed) by :func:`principal_sqrt`.
 
 Each exponent (omega, t_j) and each eliminated boundary symbol (m_j, p_j,
-q_j, l_j, a, b) is written once, the indexed ones with the index j as an
-argument, and reads only the exponents it needs.  ``frak_symbols`` composes
-them into the bundle the half-space solver reads; certification evaluates
-each symbol alone, once per grid point, on Taylor jets that pass through
-the same formulas.
+q_j, l_j, a, b) is written once.  ``roots_t`` evaluates the exponents at
+one symbol point (|xi'|^2, lam) and returns them as a ``RootSet``, which
+also carries the point and the constants s1, s2 and mu; every boundary
+symbol takes that one object (and its index j) and reads the rest from
+it, so exponents and constants that do not belong together cannot be
+passed.  ``frak_symbols`` composes the symbols into the bundle the
+half-space solver reads; certification evaluates each symbol alone, once
+per grid point, on Taylor jets that pass through the same formulas.
 The "frak" symbols are evaluated only through their eliminated polynomial
 forms; the raw quotient definitions divide by ``lam`` and implicitly by
 ``t2 - t1`` and exist here solely as test oracles.
-
-The formulas take the spectral constants ``dc`` (s1, s2) as an argument
-beside the parameters: they are the formula layer under the solvers and
-the certificates, evaluated many times per derivation (in a certificate
-sweep, the exponents and the symbol once per certificate), and each of
-their callers derives ``dc`` once from the same parameters it passes.
 """
 
 from __future__ import annotations
@@ -43,36 +40,42 @@ _GL_THETA = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
-def principal_sqrt(z, check: bool = True):
-    """Principal branch square root; rejects the closed negative real axis."""
+def principal_sqrt(z):
+    """Principal branch square root; rejects the closed negative real axis.
+
+    ``z`` is a number, an array or a ``certify.Jet``, whose ``real`` and
+    ``imag`` are those of its value.
+    """
     z = z + 0j
-    if check:
-        on_cut = (z.imag == 0.0) & (z.real <= 0.0)
-        if np.any(on_cut):
-            raise BranchCutHit("square-root argument on (-inf, 0]")
+    on_cut = (z.imag == 0.0) & (z.real <= 0.0)
+    if np.any(on_cut):
+        raise BranchCutHit("square-root argument on (-inf, 0]")
     return np.sqrt(z)
 
 
-def omega_lambda(xi_prime_sq, lam, mu: float, check: bool = True):
+def omega_lambda(xi_prime_sq, lam, mu: float):
     """omega = sqrt(|xi'|^2 + lam/mu), Re > 0 on the sector."""
-    return principal_sqrt(xi_prime_sq + lam / mu, check)
+    return principal_sqrt(xi_prime_sq + lam / mu)
 
 
-def t_root(j: int, xi_prime_sq, lam, dc: DerivedConstants,
-           check: bool = True):
+def t_root(j: int, xi_prime_sq, lam, dc: DerivedConstants):
     """t_j = sqrt(|xi'|^2 + s_j lam), Re > 0 on the sector."""
-    return principal_sqrt(xi_prime_sq + dc.s(j) * lam, check)
+    return principal_sqrt(xi_prime_sq + dc.s(j) * lam)
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """Decaying characteristic exponents at one (or an array of) modes.
+    """One symbol point (or an array of them) with its decaying exponents.
 
-    Carries the branch roots ``s1``, ``s2`` and ``mu`` so the kernel
-    prefactors can be formed from the eliminated (cancellation-free)
-    expressions rather than from root differences.
+    ``xi2`` = |xi'|^2 and ``lam`` are the point; ``omega``, ``t1`` and
+    ``t2`` its exponents; ``s1``, ``s2`` and ``mu`` the constants they
+    were taken with.  Every boundary symbol reads all of these from this
+    one object, and the kernel prefactors are formed from the eliminated
+    (cancellation-free) expressions rather than from root differences.
     """
 
+    xi2: np.ndarray | float
+    lam: np.ndarray | complex
     omega: np.ndarray | complex
     t1: np.ndarray | complex
     t2: np.ndarray | complex
@@ -80,20 +83,27 @@ class RootSet:
     s2: complex
     mu: float
 
+    def s(self, j: int) -> complex:
+        """The branch root s_j, j = 1 or 2."""
+        return jth(j, self.s1, self.s2)
+
+    def t(self, j: int):
+        """The exponent t_j, j = 1 or 2."""
+        return jth(j, self.t1, self.t2)
+
     def r_frak(self, j: int):
         """r_j = (s_j - 1/mu)(t2 + t1) / ((s2 - s1)(t_j + omega))."""
-        s_j = jth(j, self.s1, self.s2)
-        t_j = jth(j, self.t1, self.t2)
-        return ((s_j - 1.0 / self.mu) * (self.t2 + self.t1)
-                / ((self.s2 - self.s1) * (t_j + self.omega)))
+        return ((self.s(j) - 1.0 / self.mu) * (self.t2 + self.t1)
+                / ((self.s2 - self.s1) * (self.t(j) + self.omega)))
 
 
-def roots_t(xi_prime_sq, lam, dc: DerivedConstants, mu: float,
-            check: bool = True) -> RootSet:
-    """t_1, t_2 and omega, bundled as a RootSet."""
-    return RootSet(omega=omega_lambda(xi_prime_sq, lam, mu, check),
-                   t1=t_root(1, xi_prime_sq, lam, dc, check),
-                   t2=t_root(2, xi_prime_sq, lam, dc, check),
+def roots_t(xi_prime_sq, lam, dc: DerivedConstants, mu: float) -> RootSet:
+    """t_1, t_2 and omega at (|xi'|^2, lam), bundled with the point as a
+    RootSet."""
+    return RootSet(xi2=xi_prime_sq, lam=lam,
+                   omega=omega_lambda(xi_prime_sq, lam, mu),
+                   t1=t_root(1, xi_prime_sq, lam, dc),
+                   t2=t_root(2, xi_prime_sq, lam, dc),
                    s1=dc.s1, s2=dc.s2, mu=mu)
 
 
@@ -140,13 +150,9 @@ class Lopatinskii:
     det_factored: np.ndarray | complex
 
 
-def lopatinskii(xi_prime_sq, lam, dc: DerivedConstants,
-                p: MaterialParams, roots: RootSet | None = None) -> Lopatinskii:
-    """Assemble the boundary 2x2 system at given modes."""
-    if roots is None:
-        roots = roots_t(xi_prime_sq, lam, dc, mu=p.mu)
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
-    xi2 = np.asarray(xi_prime_sq)
+def lopatinskii(r: RootSet) -> Lopatinskii:
+    """Assemble the boundary 2x2 system at the point of ``r``."""
+    om, t1, t2, xi2 = r.omega, r.t1, r.t2, r.xi2
     opx = om * om + xi2            # omega^2 + |xi'|^2
     a11 = t2 * (opx * opx - 4.0 * t1 * om * xi2)
     a12 = t1 * (opx * opx - 4.0 * t2 * om * xi2)
@@ -165,49 +171,47 @@ def lopatinskii(xi_prime_sq, lam, dc: DerivedConstants,
                        det_direct=det_direct, det_factored=det_factored)
 
 
-def frak_m(j: int, xi_prime_sq, lam, omega, t_j, dc: DerivedConstants,
-           p: MaterialParams):
+def frak_m(j: int, r: RootSet):
     """m_j = lam (t_j + omega) / mu^2 - 4 (s_j - 1/mu) |xi'|^2 omega."""
-    mu_inv = 1.0 / p.mu
-    return (mu_inv * mu_inv * lam * (t_j + omega)
-            - 4.0 * (dc.s(j) - mu_inv) * xi_prime_sq * omega)
+    mu_inv = 1.0 / r.mu
+    return (mu_inv * mu_inv * r.lam * (r.t(j) + r.omega)
+            - 4.0 * (r.s(j) - mu_inv) * r.xi2 * r.omega)
 
 
-def frak_p(j: int, omega, t_j, dc: DerivedConstants, p: MaterialParams):
+def frak_p(j: int, r: RootSet):
     """p_j = (4 s_j - 3/mu) omega + t_j / mu."""
-    mu_inv = 1.0 / p.mu
-    return (4.0 * dc.s(j) - 3.0 * mu_inv) * omega + mu_inv * t_j
+    mu_inv = 1.0 / r.mu
+    return (4.0 * r.s(j) - 3.0 * mu_inv) * r.omega + mu_inv * r.t(j)
 
 
-def frak_q(j: int, omega, t_j, dc: DerivedConstants, p: MaterialParams):
+def frak_q(j: int, r: RootSet):
     """q_j = (2 s_j - 1/mu) omega + t_j / mu."""
-    mu_inv = 1.0 / p.mu
-    return (2.0 * dc.s(j) - mu_inv) * omega + mu_inv * t_j
+    mu_inv = 1.0 / r.mu
+    return (2.0 * r.s(j) - mu_inv) * r.omega + mu_inv * r.t(j)
 
 
-def frak_l(j: int, xi_prime_sq, lam, omega, t1, t2, dc: DerivedConstants,
-           p: MaterialParams):
+def frak_l(j: int, r: RootSet):
     """l_j = lam t_j (t_j + omega) (t2^2 + t2 t1 + t1^2 - |xi'|^2) / mu^2
     + 4 omega |xi'|^2 (s_j t_j omega (t_j + omega)
     - (s_j - 1/mu) t1 t2 (t2 + t1))."""
-    mu_inv = 1.0 / p.mu
-    s_j = dc.s(j)
-    t_j = jth(j, t1, t2)
-    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi_prime_sq
-    return (mu_inv * mu_inv * lam * t_j * (t_j + omega) * trip
-            + 4.0 * omega * xi_prime_sq * (
-                s_j * t_j * omega * (t_j + omega)
+    mu_inv = 1.0 / r.mu
+    s_j, t_j = r.s(j), r.t(j)
+    om, t1, t2, xi2 = r.omega, r.t1, r.t2, r.xi2
+    trip = t2 * t2 + t2 * t1 + t1 * t1 - xi2
+    return (mu_inv * mu_inv * r.lam * t_j * (t_j + om) * trip
+            + 4.0 * om * xi2 * (
+                s_j * t_j * om * (t_j + om)
                 - (s_j - mu_inv) * t1 * t2 * (t2 + t1)))
 
 
-def frak_a(t1, t2, dc: DerivedConstants):
+def frak_a(r: RootSet):
     """a = s1 s2 (t2 + t1) / (s2 - s1)."""
-    return dc.s1 * dc.s2 * (t2 + t1) / (dc.s2 - dc.s1)
+    return r.s1 * r.s2 * (r.t2 + r.t1) / (r.s2 - r.s1)
 
 
-def frak_b(t1, t2, dc: DerivedConstants):
+def frak_b(r: RootSet):
     """b = (t2 + t1) / (s2 - s1)."""
-    return (t2 + t1) / (dc.s2 - dc.s1)
+    return (r.t2 + r.t1) / (r.s2 - r.s1)
 
 
 @dataclass(frozen=True)
@@ -227,34 +231,25 @@ class FrakSymbols:
     b: np.ndarray | complex
 
 
-def frak_symbols(xi_prime_sq, lam, dc: DerivedConstants, p: MaterialParams,
-                 roots: RootSet | None = None) -> FrakSymbols:
+def frak_symbols(r: RootSet) -> FrakSymbols:
     """Evaluate m_j, p_j, q_j, l_j (j = 1, 2), a and b from their formulas.
 
     lam and t2 - t1 have been eliminated from every expression; the only
     division is by s2 - s1 (a nonzero constant).  The r_j symbols are
     ``RootSet.r_frak``.
     """
-    if roots is None:
-        roots = roots_t(xi_prime_sq, lam, dc, mu=p.mu)
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
-    return FrakSymbols(
-        m1=frak_m(1, xi_prime_sq, lam, om, t1, dc, p),
-        m2=frak_m(2, xi_prime_sq, lam, om, t2, dc, p),
-        p1=frak_p(1, om, t1, dc, p), p2=frak_p(2, om, t2, dc, p),
-        q1=frak_q(1, om, t1, dc, p), q2=frak_q(2, om, t2, dc, p),
-        l1=frak_l(1, xi_prime_sq, lam, om, t1, t2, dc, p),
-        l2=frak_l(2, xi_prime_sq, lam, om, t1, t2, dc, p),
-        a=frak_a(t1, t2, dc), b=frak_b(t1, t2, dc))
+    return FrakSymbols(m1=frak_m(1, r), m2=frak_m(2, r),
+                       p1=frak_p(1, r), p2=frak_p(2, r),
+                       q1=frak_q(1, r), q2=frak_q(2, r),
+                       l1=frak_l(1, r), l2=frak_l(2, r),
+                       a=frak_a(r), b=frak_b(r))
 
 
-def frak_m_quotient(j, xi_prime_sq, lam, roots: RootSet):
+def frak_m_quotient(j: int, r: RootSet):
     """Raw quotient form of m_j (test oracle; unstable near lam = 0)."""
-    om = roots.omega
-    t = jth(j, roots.t1, roots.t2)
-    xi2 = np.asarray(xi_prime_sq)
+    om, t, xi2 = r.omega, r.t(j), r.xi2
     opx = om * om + xi2
-    return (t + om) * (opx * opx - 4.0 * t * om * xi2) / np.asarray(lam)
+    return (t + om) * (opx * opx - 4.0 * t * om * xi2) / r.lam
 
 
 def expand_modes(arr, x):
@@ -312,8 +307,7 @@ def kernel_M(j: int, x_n, roots: RootSet):
     if j == 0:
         return stable_divided_difference(expand_modes(roots.t1, x),
                                          expand_modes(roots.t2, x), x)
-    t = jth(j, roots.t1, roots.t2)
     core = stable_divided_difference(expand_modes(roots.omega, x),
-                                     expand_modes(t, x), x)
+                                     expand_modes(roots.t(j), x), x)
     return expand_modes(roots.r_frak(j), x) * core
 

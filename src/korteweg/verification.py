@@ -68,19 +68,6 @@ def rademacher_closed_form(vectors, weights=None):
     return float(sum(np.sum(np.abs(v) ** 2 * w) for v in vectors))
 
 
-def rademacher_ratio(outputs, inputs):
-    """Ratio of Rademacher-averaged norms, outputs over inputs.
-
-    outputs[j] is the flattened weighted-block vector T_j f_j; inputs[j]
-    the flattened data-block vector of f_j; both averages are exact.  For
-    m = 1 this reduces to a plain operator-norm sample.
-    """
-    denom = rademacher_mean_sq(inputs)
-    if denom == 0.0:
-        raise ZeroDenominator("all inputs vanish")
-    return float(np.sqrt(rademacher_mean_sq(outputs) / denom))
-
-
 # ---------------------------------------------------------------------------
 # operator families
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def test_criterion_3_det_factorization():
                                 n))
         xi2 = xi ** 2
         roots = sy.roots_t(xi2, lam, dc, p.mu)
-        L = sy.lopatinskii(xi2, lam, dc, p, roots)
-        fr = sy.frak_symbols(xi2, lam, dc, p, roots)
+        L = sy.lopatinskii(roots)
+        fr = sy.frak_symbols(roots)
         for t, l in [(roots.t1, fr.l1), (roots.t2, fr.l2)]:
             lhs = L.det_direct * t * (t + roots.omega)
             rhs = lam * (roots.t2 - roots.t1) * l
@@ -183,8 +183,8 @@ def test_criterion_6_kernel_stability():
         t2 = t1 * (1 + rel_gap)
         om_gap = rng.uniform(sy.EPS_SWITCH, 10 * sy.EPS_SWITCH)
         om = t1 * (1 + om_gap)  # omega coincident band for M1
-        roots = sy.RootSet(omega=om, t1=t1, t2=t2, s1=DC112.s1, s2=DC112.s2,
-                           mu=P112.mu)
+        roots = sy.RootSet(xi2=np.nan, lam=np.nan, omega=om, t1=t1, t2=t2,
+                           s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
         ref0 = quadrature_reference(t1, t2, x)
         got0 = sy.kernel_M(0, x, roots)
         worst_band = max(worst_band, float(np.max(np.abs(got0 - ref0))
@@ -199,10 +199,11 @@ def test_criterion_6_kernel_stability():
     t1 = 1.3 + 0.4j
     worst_lim = 0.0
     for gap in (1e-6, 2e-6):
-        r_a = sy.RootSet(omega=2.0 + 0j, t1=t1, t2=t1 + gap, s1=DC112.s1,
-                         s2=DC112.s2, mu=P112.mu)
-        r_b = sy.RootSet(omega=2.0 + 0j, t1=t1, t2=t1 + gap / 2,
-                         s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+        r_a = sy.RootSet(xi2=np.nan, lam=np.nan, omega=2.0 + 0j, t1=t1,
+                         t2=t1 + gap, s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+        r_b = sy.RootSet(xi2=np.nan, lam=np.nan, omega=2.0 + 0j, t1=t1,
+                         t2=t1 + gap / 2, s1=DC112.s1, s2=DC112.s2,
+                         mu=P112.mu)
         extrap = 2.0 * sy.kernel_M(0, x, r_b) - sy.kernel_M(0, x, r_a)
         limit = -x * np.exp(-t1 * x)
         worst_lim = max(worst_lim, float(np.max(np.abs(extrap - limit))

@@ -9,8 +9,9 @@ from korteweg.certify import (Certificate, GridSpec, certify_multiplier,
                               certify_registry, empirical_sigma_star,
                               jet_derivatives, scan_lower_bound,
                               symbol_registry)
-from korteweg.errors import EmptyGrid
-from korteweg.model import MaterialParams, Sector, derive_constants
+from korteweg.errors import BranchCutHit, EmptyGrid
+from korteweg.model import (MaterialParams, Sector, default_sigma,
+                            derive_constants)
 
 from paramsets import ACCEPTANCE_SETS
 
@@ -132,10 +133,31 @@ class TestCertify:
         cert = Certificate(symbol_id="t1", claimed_order=1.0,
                            claimed_type=1, sector=self.sector(),
                            grid_spec=GridSpec(4, 3, 4),
-                           estimated_constant=2.5, max_alpha=2)
+                           estimated_constant=2.5, max_alpha=2,
+                           argmax={"n": 1, "alpha": [0], "xi": 0.5,
+                                   "lambda": [1.0, -2.0]})
         import json
         blob = json.loads(cert.to_json_str())
         assert blob["symbol_id"] == "t1" and blob["C"] == 2.5
+        assert blob["argmax"] == cert.argmax
+
+    def test_argmax_is_where_the_constant_is_reached(self):
+        # the entry argmax names holds C, and its ratio recomputed at the
+        # grid point argmax names is C
+        fn, order, typ = symbol_registry(P, DC)["t1"]
+        grid = GridSpec(8, 5, 8)
+        cert = certify_multiplier(fn, "t1", order, typ, self.sector(), P,
+                                  grid=grid)
+        where = cert.argmax
+        n, (a,) = where["n"], where["alpha"]
+        assert cert.detail[f"n={n},alpha={(a,)}"] == cert.estimated_constant
+        xi = np.array([where["xi"]])
+        lam = np.array([complex(*where["lambda"])])
+        deriv = jet_derivatives(fn, xi, lam, cert.max_alpha)
+        bound = (np.sqrt(np.abs(lam)) + xi) ** (order - a)
+        assert abs(deriv[a, n, 0]) / bound[0] == pytest.approx(
+            cert.estimated_constant, rel=1e-12)
+        assert cert.to_json()["argmax"] == where
 
     def test_rejects_bad_type(self):
         with pytest.raises(ValueError):
@@ -177,7 +199,7 @@ def test_registry_matches_bundle_bit_for_bit(p, refine):
     xi, lam = GridSpec(8, 5, 8).refine(refine).points(
         Sector(dc.sigma_w + 0.05, 0.0))
     roots = symbols.roots_t(xi * xi, lam, dc, p.mu)
-    fr = symbols.frak_symbols(xi * xi, lam, dc, p, roots)
+    fr = symbols.frak_symbols(roots)
     reg = symbol_registry(p, dc)
     assert len(reg) - len(ELEMENTARY) == 22
     for name, (fn, _, _) in reg.items():
@@ -243,10 +265,28 @@ def test_each_certificate_evaluates_its_symbol_once(monkeypatch):
 def test_certify_registry_is_the_sigma_star_sweep():
     sigma_star, sec, certs = certify_registry(P, names=["p1"], max_alpha=1)
     assert sigma_star == empirical_sigma_star(P, "l1", dc=DC)
-    assert sec == Sector(min(sigma_star + 0.1, 1.45), 0.0)
+    assert sec == Sector(default_sigma(sigma_star, 0.1), 0.0)
+    assert sec.sigma == sigma_star + 0.1
     fn, order, typ = symbol_registry(P, DC)["p1"]
     assert certs == [certify_multiplier(fn, "p1", order, typ, sec, P,
                                         max_alpha=1)]
+
+
+def test_certify_registry_sector_lies_above_sigma_star_near_pi_half():
+    # sigma_w = 1.4706: sigma* + 0.1 is within 1e-4 of pi/2, and the
+    # sector must still lie above sigma*, where P has no zero ray
+    p = MaterialParams(0.1, 0.1, 1.0)
+    sigma_star, sec, certs = certify_registry(p, names=["t1"], max_alpha=1)
+    assert derive_constants(p).sigma_w < sigma_star < sec.sigma < math.pi / 2
+    assert np.isfinite(certs[0].estimated_constant)
+
+
+def test_jet_on_the_branch_cut_is_refused():
+    # on (1, 2, 0.5) s1 and s2 are real and positive, so at xi = 0 and
+    # lam = -1 both t1 = sqrt(-s1) and omega = sqrt(-1/mu) lie on the cut
+    fn, _, _ = symbol_registry(MaterialParams(1.0, 2.0, 0.5))["t1"]
+    with pytest.raises(BranchCutHit):
+        jet_derivatives(fn, np.array([0.0]), np.array([-1.0 + 0j]), 2)
 
 
 def test_certify_registry_refuses_unknown_names():
@@ -254,9 +294,9 @@ def test_certify_registry_refuses_unknown_names():
         certify_registry(P, names=["p1", "nope"])
 
 
-def mp_roots_t(xi2, lam, dc, mu, check=True):
+def mp_roots_t(xi2, lam, dc, mu):
     """roots_t at mpmath precision: the three principal square roots."""
-    return symbols.RootSet(omega=mp.sqrt(xi2 + lam / mu),
+    return symbols.RootSet(xi2=xi2, lam=lam, omega=mp.sqrt(xi2 + lam / mu),
                            t1=mp.sqrt(xi2 + dc.s1 * lam),
                            t2=mp.sqrt(xi2 + dc.s2 * lam),
                            s1=dc.s1, s2=dc.s2, mu=mu)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from korteweg import cli
+from korteweg.model import MaterialParams, derive_constants
 
 
 def run_cli(args):
@@ -451,3 +452,32 @@ class TestReport:
                              {"params": {"mu": 1, "nu": 1, "kappa": 1}})
         assert code == 2 and out is None
         assert "EtaVanishes" in capsys.readouterr().err
+
+
+class TestSectorNearPiHalf:
+    """On (0.1, 0.1, 1), sigma_w = 1.4706 lies within 0.2 of pi/2, so the
+    default sectors take the midpoint of sigma_w and pi/2."""
+
+    PARAMS = {"mu": 0.1, "nu": 0.1, "kappa": 1}
+    SIGMA_W = derive_constants(MaterialParams(0.1, 0.1, 1.0)).sigma_w
+
+    def test_scan_default_sector(self, tmp_path):
+        code, out = run_json(tmp_path, "scan", ["scan"], {
+            "params": self.PARAMS,
+            "grid": {"n_lambda": 8, "n_theta": 3, "n_xi": 8}})
+        assert code == 0
+        assert self.SIGMA_W < out["scan"]["sigma"] < math.pi / 2
+
+    def test_rbound_default_sector(self, tmp_path):
+        code, out = run_json(tmp_path, "rbound", ["rbound", "--trials", "2"],
+                             {"params": self.PARAMS})
+        assert code == 0
+        for est in out["estimates"].values():
+            assert self.SIGMA_W < est["sigma"] < math.pi / 2
+
+    def test_explicit_sigma_past_pi_half_exit_2(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, "bad", ["scan"],
+                             {"params": self.PARAMS, "sigma": 1.6})
+        assert code == 2 and out is None
+        assert "invalid config: sigma = 1.6 must lie in (0, pi/2)" \
+            in capsys.readouterr().err

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from korteweg.errors import EtaVanishes, KappaEqualsMuNu, NonPositiveCoefficient
 from korteweg.model import (MaterialParams, Sector, boundary_rows,
-                            derive_constants, interior_rows, jth,
-                            mode_derivative, validate)
+                            default_sigma, derive_constants, interior_rows,
+                            jth, mode_derivative, validate)
 from korteweg.wholespace import (BoxGrid, WholeField, apply_lhs,
                                  band_limited_field)
 
@@ -117,6 +117,16 @@ def test_sector_validation():
         Sector(0.0, 0.0)
     with pytest.raises(ValueError):
         Sector(math.pi / 4, -1.0)
+
+
+def test_default_sigma_stays_between_floor_and_pi_half():
+    assert default_sigma(math.pi / 4, 0.4) == math.pi / 4 + 0.4
+    # (0.1, 0.1, 1) has sigma_w = 1.4706, where floor + step passes pi/2
+    floor = derive_constants(MaterialParams(0.1, 0.1, 1.0)).sigma_w
+    assert default_sigma(floor, 0.2) == 0.5 * (floor + math.pi / 2)
+    for floor in (0.0, 1.0, 1.4706, math.pi / 2 - 1e-9):
+        for step in (0.1, 0.2, 0.4):
+            assert floor < default_sigma(floor, step) < math.pi / 2
 
 
 def test_params_json_round_trip():

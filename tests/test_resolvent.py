@@ -522,7 +522,7 @@ class TestBatchedSolve:
         xi2 = geo.tangential.xi_sq()
 
         def margin(lam):
-            fr = frak_symbols(xi2, lam, DC, P, roots_t(xi2, lam, DC, P.mu))
+            fr = frak_symbols(roots_t(xi2, lam, DC, P.mu))
             scale = (np.sqrt(abs(lam)) + np.sqrt(xi2)) ** 6
             return np.min(np.minimum(np.abs(fr.l1), np.abs(fr.l2)) / scale)
 

@@ -13,6 +13,13 @@ PARAM_SETS = [MaterialParams(*c) for c in
               [(1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 4), (0.5, 1.5, 0.8)]]
 
 
+def free_exponents(omega, t1, t2):
+    """A RootSet of exponents chosen freely, not taken at a symbol point:
+    the kernels read only the exponents, so the point is left NaN."""
+    return sy.RootSet(xi2=np.nan, lam=np.nan, omega=omega, t1=t1, t2=t2,
+                      s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+
+
 def sector_samples(dc, rng, n, sigma_extra=0.2, lam_range=(1e-2, 1e4),
                    conditioned=False):
     """Random (xi'^2, lambda) pairs inside Sigma_{sigma_w+extra, 0}.
@@ -106,7 +113,7 @@ class TestLopatinskii:
         for p in PARAM_SETS:
             dc = derive_constants(p)
             xi2, lam = sector_samples(dc, rng, 10_000, conditioned=True)
-            L = sy.lopatinskii(xi2, lam, dc, p)
+            L = sy.lopatinskii(sy.roots_t(xi2, lam, dc, p.mu))
             rel = np.abs(L.det_direct - L.det_factored) / np.abs(L.det_factored)
             assert np.max(rel) < 1e-12
 
@@ -122,14 +129,14 @@ class TestLopatinskii:
             ang = rng.uniform(-np.pi / 2, np.pi / 2, 20_000)
             lam = mod * np.exp(1j * ang)
             xi2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 20_000)) ** 2
-            L = sy.lopatinskii(xi2, lam, dc, p)
+            L = sy.lopatinskii(sy.roots_t(xi2, lam, dc, p.mu))
             scale = np.abs(lam) ** 2 * (np.sqrt(np.abs(lam))
                                         + np.sqrt(xi2)) ** 3
             assert np.min(np.abs(L.det_factored) / scale) > 1e-2
 
     def test_entries_at_zero_tangential(self):
         r = sy.roots_t(0.0, 2.0 + 1j, DC112, P112.mu)
-        L = sy.lopatinskii(0.0, 2.0 + 1j, DC112, P112)
+        L = sy.lopatinskii(r)
         assert L.L11 == pytest.approx(r.t2 ** 2, rel=1e-14)
         assert L.L21 == pytest.approx(-r.t1 ** 2, rel=1e-14)
 
@@ -141,8 +148,8 @@ class TestFrakSymbols:
             dc = derive_constants(p)
             xi2, lam = sector_samples(dc, rng, 10_000, conditioned=True)
             roots = sy.roots_t(xi2, lam, dc, p.mu)
-            L = sy.lopatinskii(xi2, lam, dc, p, roots)
-            fr = sy.frak_symbols(xi2, lam, dc, p, roots)
+            L = sy.lopatinskii(roots)
+            fr = sy.frak_symbols(roots)
             for t, l in [(roots.t1, fr.l1), (roots.t2, fr.l2)]:
                 lhs = L.det_direct * t * (t + roots.omega)
                 rhs = lam * (roots.t2 - roots.t1) * l
@@ -154,7 +161,7 @@ class TestFrakSymbols:
         rng = np.random.default_rng(23)
         xi2, lam = sector_samples(DC112, rng, 2000)
         roots = sy.roots_t(xi2, lam, DC112, P112.mu)
-        fr = sy.frak_symbols(xi2, lam, DC112, P112, roots)
+        fr = sy.frak_symbols(roots)
         for j, (pj, qj, s) in enumerate([(fr.p1, fr.q1, DC112.s1),
                                          (fr.p2, fr.q2, DC112.s2)], 1):
             expect = 2.0 * (s - 1 / P112.mu) * roots.omega
@@ -166,9 +173,9 @@ class TestFrakSymbols:
         roots = sy.roots_t(xi2, lam, DC112, P112.mu)
         keep = (np.abs(roots.t2 - roots.t1)
                 > 1e-3 * (np.abs(roots.t1) + np.abs(roots.t2)))
-        fr = sy.frak_symbols(xi2, lam, DC112, P112, roots)
+        fr = sy.frak_symbols(roots)
         for j, mj in [(1, fr.m1), (2, fr.m2)]:
-            quot = sy.frak_m_quotient(j, xi2, lam, roots)
+            quot = sy.frak_m_quotient(j, roots)
             rel = np.abs(quot - mj) / np.abs(mj)
             assert np.max(rel[keep]) < 1e-10
 
@@ -183,8 +190,7 @@ class TestKernels:
             assert sy.kernel_M(j, 0.0, r) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_value(self):
-        r = sy.RootSet(omega=1.5 + 0j, t1=1.0 + 0j, t2=2.0 + 0j,
-                       s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+        r = free_exponents(1.5 + 0j, 1.0 + 0j, 2.0 + 0j)
         got = sy.kernel_M(0, 1.0, r)
         assert got == pytest.approx(np.exp(-2) - np.exp(-1), rel=1e-14)
 
@@ -195,15 +201,13 @@ class TestKernels:
         x = np.linspace(0.0, 8.0, 23)
         for gap in [1e-3, 1e-6]:
             t2 = t1 + gap
-            r = sy.RootSet(omega=2.0 + 0j, t1=t1, t2=t2,
-                           s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+            r = free_exponents(2.0 + 0j, t1, t2)
             got = sy.kernel_M(0, x, r)
             limit = -x * np.exp(-t1 * x)
             tol = 1e-10 if gap == 1e-3 else 1e-9
             assert np.max(np.abs(got - limit)) < max(gap * 10, tol * 10)
         # sharp check at the tightest gap of the acceptance criterion
-        r = sy.RootSet(omega=2.0 + 0j, t1=t1, t2=t1 + 1e-6,
-                       s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+        r = free_exponents(2.0 + 0j, t1, t1 + 1e-6)
         got = sy.kernel_M(0, x, r)
         assert np.max(np.abs(got - (-x * np.exp(-t1 * x)))) < 1e-5
 
@@ -223,8 +227,7 @@ class TestKernels:
             exponents = t1 + th * (t2 - t1)
             ref = -x * np.tensordot(
                 w, np.exp(-np.multiply.outer(exponents, x)), axes=(0, 0))
-            r = sy.RootSet(omega=2.0 + 0j, t1=t1, t2=t2,
-                           s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+            r = free_exponents(2.0 + 0j, t1, t2)
             got = sy.kernel_M(0, x, r)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) / scale < 1e-10

@@ -19,6 +19,16 @@ def random_vectors(rng, m, dim=40):
             for _ in range(m)]
 
 
+def scaled_data(factor):
+    """``random_full_data`` with every row multiplied by ``factor``."""
+    def draw(*args, **kwargs):
+        d = rv.random_full_data(*args, **kwargs)
+        return rv.FullData(d.geometry, factor * d.d, factor * d.f,
+                           factor * d.g, factor * d.h)
+
+    return draw
+
+
 class TestRademacher:
     def test_exact_matches_orthogonality(self):
         rng = np.random.default_rng(0)
@@ -38,35 +48,32 @@ class TestRademacher:
                                    draws=10_000)
         assert abs(mc - exact) / exact < 0.02
 
-    def test_ratio_m1_is_operator_norm_sample(self):
-        rng = np.random.default_rng(3)
-        f = random_vectors(rng, 1)
-        out = [2.5 * f[0]]
-        r = vf.rademacher_ratio(out, f)
-        assert r == pytest.approx(2.5, rel=1e-12)
-
-    def test_ratio_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        ins = random_vectors(rng, 4)
-        outs = random_vectors(rng, 4)
-        r1 = vf.rademacher_ratio(outs, ins)
-        r2 = vf.rademacher_ratio([10 * v for v in outs],
-                                 [10 * v for v in ins])
-        assert r1 == pytest.approx(r2, rel=1e-12)
+    def test_ratio_scale_invariance(self, monkeypatch):
+        # the families are linear, so scaling every datum leaves each
+        # trial's ratio unchanged
+        ref = vf.estimate_rbound("T_B", SEC, P, GEO, m_max=3, trials=3,
+                                 seed=4)
+        monkeypatch.setattr(vf, "random_full_data", scaled_data(10.0))
+        got = vf.estimate_rbound("T_B", SEC, P, GEO, m_max=3, trials=3,
+                                 seed=4)
+        assert got.ratios == pytest.approx(ref.ratios, rel=1e-12)
 
     def test_ratio_permutation_invariance(self):
+        # a trial's ratio does not depend on the order of its members
         rng = np.random.default_rng(5)
-        ins = random_vectors(rng, 5)
-        outs = random_vectors(rng, 5)
+        lams = SEC.sample(rng, 5)
+        data = rv.random_full_data(GEO, rng, batch=5)
         perm = [3, 1, 4, 0, 2]
-        r1 = vf.rademacher_ratio(outs, ins)
-        r2 = vf.rademacher_ratio([outs[i] for i in perm],
-                                 [ins[i] for i in perm])
+        shuffled = rv.FullData(GEO, data.d[perm], data.f[:, perm],
+                               data.g[:, perm], data.h[perm])
+        r1, = vf._group_ratios("S_A", [(lams, data)], P, SEC)
+        r2, = vf._group_ratios("S_A", [(lams[perm], shuffled)], P, SEC)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
-    def test_zero_denominator(self):
+    def test_zero_denominator(self, monkeypatch):
+        monkeypatch.setattr(vf, "random_full_data", scaled_data(0.0))
         with pytest.raises(ZeroDenominator):
-            vf.rademacher_ratio([np.ones(3)], [np.zeros(3)])
+            vf.estimate_rbound("S_A", SEC, P, GEO, m_max=2, trials=1)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(min_value=1, max_value=7),
