@@ -4,8 +4,9 @@ estimates, boundary-system non-degeneracy, and R-bound estimates."""
 
 from .model import (DerivedConstants, MaterialParams, Sector,
                     derive_constants, validate)
-from .symbols import (FrakSymbols, Lopatinskii, RootSet, frak_symbols,
-                      kernel_M, lopatinskii, omega_lambda, roots_t,
+from .symbols import (FrakSymbols, Lopatinskii, RootSet,
+                      decay_exponentials, frak_symbols, kernel_M,
+                      lopatinskii, omega_lambda, roots_t,
                       whole_space_symbol_P)
 from .certify import (Certificate, GridSpec, certify_multiplier,
                       certify_registry, empirical_sigma_star,

@@ -379,20 +379,41 @@ def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
     return sigma_star, sec, certs
 
 
+def _point_key(arg):
+    """The type, dtype, shape and bytes of an array or of a ``Jet``'s
+    coefficients; None for anything else and for object dtype (mpmath
+    numbers), whose bytes are pointers."""
+    arr = arg.c if isinstance(arg, Jet) else arg
+    if not isinstance(arr, np.ndarray) or arr.dtype == object:
+        return None
+    return type(arg), arr.dtype, arr.shape, arr.tobytes()
+
+
 def symbol_registry(p: MaterialParams, dc: DerivedConstants | None = None):
     """Closures for every certifiable symbol, keyed by id.
 
     Values are (closure, claimed_order, claimed_type).  Closures take
-    (xi, lam) of one shape, xi the modulus |xi'|, as arrays or ``Jet``s.
-    One that reads exponents calls ``roots_t`` once and passes the
-    ``RootSet`` to the symbol's formula.  ``dc`` stays an argument for
-    the symbols benchmark, as in ``scan_lower_bound``.
+    (xi, lam) of one shape, xi the modulus |xi'|, as arrays or ``Jet``s,
+    and pass the ``RootSet`` of that point set to the symbol's formula.
+    The registry evaluates the exponents once per point set: its one
+    slot holds the last (xi, lam) its closures were called at and the
+    ``roots_t`` result there, and a call whose arguments match the slot
+    (``_point_key``) reads it; any other call computes the roots and
+    replaces it.  ``dc`` stays an argument for the symbols benchmark, as
+    in ``scan_lower_bound``.
     """
     dc = derive_constants(p) if dc is None else dc
+    slot = {}
 
     def of_roots(fn):
         def closure(xi, lam):
-            return fn(roots_t(xi * xi, lam, dc, p.mu))
+            key = (_point_key(xi), _point_key(lam))
+            if None in key:
+                return fn(roots_t(xi * xi, lam, dc, p.mu))
+            if slot.get("key") != key:
+                slot.clear()
+                slot.update(key=key, roots=roots_t(xi * xi, lam, dc, p.mu))
+            return fn(slot["roots"])
 
         return closure
 

@@ -379,13 +379,19 @@ def _run_probe(cfg: ScenarioConfig) -> Output:
 def _report_scans(cfg: ScenarioConfig) -> list:
     """The l1 and l2 scans at the scan default sigma, and the P scan at
     ``default_sigma(sigma_w, 0.1)`` and pi/3, each with its refinement
-    drift."""
+    drift.  A P scan at sigma <= sigma_w would sample P's zero rays, so
+    its entry holds the job and the reason it was skipped instead."""
     dc = derive_constants(cfg.params)
     jobs = [{"target": "l1"}, {"target": "l2"},
             {"target": "P", "sigma": default_sigma(dc.sigma_w, 0.1)},
             {"target": "P", "sigma": math.pi / 3}]
     section = []
     for job in jobs:
+        if job["target"] == "P" and job["sigma"] <= dc.sigma_w:
+            section.append(dict(job, skipped=(
+                f"sigma = {job['sigma']:.4f} <= sigma_w = {dc.sigma_w:.4f}: "
+                "the sector holds zero rays of P")))
+            continue
         result, _, refined = _scan_pair(replace(cfg, extra=job), dc)
         section.append({"scan": result.to_json(),
                         "refined": refined.to_json(),

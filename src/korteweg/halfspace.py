@@ -15,7 +15,8 @@ near-coincident kernel channels are evaluated stably.
 
 Profiles are stored per channel (exp(-omega x), exp(-t1 x), exp(-t2 x),
 M0, M1, M2) so normal derivatives are exact recurrences, never finite
-differences.
+differences.  A channel table computes three complex exponentials per
+mode and sample, and forms the three kernels from them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from .errors import GridMismatch, SingularLopatinskii
 from .model import (MaterialParams, boundary_rows, derive_constants,
                     interior_rows, mode_derivative)
-from .symbols import (FrakSymbols, RootSet, expand_modes, frak_symbols,
-                      kernel_M, lam_axes, lopatinskii, roots_t)
+from .symbols import (FrakSymbols, RootSet, decay_exponentials,
+                      expand_modes, frak_symbols, kernel_M, lam_axes,
+                      lopatinskii, roots_t)
 
 SINGULAR_TOL = 1e-13
 
@@ -163,14 +165,14 @@ class ChannelProfile:
 
 
 def channel_table(roots: RootSet, x) -> dict:
-    """All six channel values at the normal samples, computed once."""
+    """All six channel values at the normal samples, computed once: the
+    three exponentials, and the kernels M0, M1, M2 formed from them."""
     x = np.asarray(x, dtype=float)
-    return {"exp_omega": np.exp(-expand_modes(roots.omega, x) * x),
-            "exp_t1": np.exp(-expand_modes(roots.t1, x) * x),
-            "exp_t2": np.exp(-expand_modes(roots.t2, x) * x),
-            "M0": kernel_M(0, x, roots),
-            "M1": kernel_M(1, x, roots),
-            "M2": kernel_M(2, x, roots)}
+    exps = decay_exponentials(roots, x)
+    table = dict(zip(CHANNELS[:3], exps))
+    for j in range(3):
+        table[f"M{j}"] = kernel_M(j, x, roots, exps)
+    return table
 
 
 @dataclass

@@ -14,8 +14,10 @@ also carries the point and the constants s1, s2 and mu; every boundary
 symbol takes that one object (and its index j) and reads the rest from
 it, so exponents and constants that do not belong together cannot be
 passed.  ``frak_symbols`` composes the symbols into the bundle the
-half-space solver reads; certification evaluates each symbol alone, once
-per grid point, on Taylor jets that pass through the same formulas.
+half-space solver reads.  A certification registry evaluates the
+exponents once per point set, keeps them in one slot, and evaluates each
+symbol alone from them, on Taylor jets that pass through the same
+formulas.
 The "frak" symbols are evaluated only through their eliminated polynomial
 forms; the raw quotient definitions divide by ``lam`` and implicitly by
 ``t2 - t1`` and exist here solely as test oracles.
@@ -271,34 +273,45 @@ def lam_axes(lam, ndim: int):
     return lam.reshape(lam.shape + (1,) * ndim)
 
 
-def stable_divided_difference(a, b, x):
-    """(exp(-b x) - exp(-a x)) / (b - a), switching to quadrature near a = b.
+def decay_exponentials(roots: RootSet, x) -> tuple:
+    """(e^{-omega x}, e^{-t1 x}, e^{-t2 x}) at the normal samples x, the
+    per-mode exponents of ``roots`` gaining trailing axes over x."""
+    x = np.asarray(x, dtype=float)
+    return tuple(np.exp(-expand_modes(e, x) * x)
+                 for e in (roots.omega, roots.t1, roots.t2))
 
-    The divided difference loses about |b - a|^-1 digits of accuracy; inside
-    the relative band EPS_SWITCH the 16-node Gauss-Legendre evaluation of
-    -x * int_0^1 exp(-{th b + (1-th) a} x) dth is used instead.  Inputs must
-    broadcast to a common shape.
+
+def stable_divided_difference(a, b, x, ea, eb):
+    """(eb - ea) / (b - a) for ea = exp(-a x) and eb = exp(-b x),
+    switching to quadrature near a = b.
+
+    The divided difference loses about |b - a|^-1 digits of accuracy; in
+    the modes inside the relative band EPS_SWITCH the 16-node
+    Gauss-Legendre evaluation of -x * int_0^1 exp(-{th b + (1-th) a} x) dth
+    is used instead.  ``a`` and ``b`` are per-mode exponents with trailing
+    singleton axes over x, so the band test is taken once per mode; the
+    exponentials have the shape of the result.
     """
-    a, b, x = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                                  np.asarray(b, dtype=complex),
-                                  np.asarray(x, dtype=float))
     diff = b - a
     near = np.abs(diff) <= EPS_SWITCH * (np.abs(a) + np.abs(b))
-    dd = (np.exp(-b * x) - np.exp(-a * x)) / np.where(near, 1.0, diff)
+    dd = (eb - ea) / np.where(near, 1.0, diff)
     if np.any(near):
+        dd = np.asarray(dd)
+        near, a, b, x = (np.broadcast_to(v, dd.shape)
+                         for v in (near, a, b, x))
         aa, bb, xx = a[near], b[near], x[near]
         expo = (aa + np.multiply.outer(_GL_THETA, bb - aa)) * xx
-        dd = np.array(dd)
         dd[near] = -xx * np.tensordot(_GL_W, np.exp(-expo), axes=(0, 0))
     return dd
 
 
-def kernel_M(j: int, x_n, roots: RootSet):
+def kernel_M(j: int, x_n, roots: RootSet, exps: tuple):
     """Boundary-layer kernel M_j(x_N); entire in the exponents.
 
     M_0 = (e^{-t2 x} - e^{-t1 x}) / (t2 - t1);
     M_j = r_j (e^{-t_j x} - e^{-omega x}) / (t_j - omega)   for j = 1, 2.
 
+    ``exps`` are the ``decay_exponentials`` of ``roots`` at ``x_n``.
     Per-mode arrays in ``roots`` gain trailing axes over the x samples.
     """
     x = np.asarray(x_n, dtype=float)
@@ -306,8 +319,9 @@ def kernel_M(j: int, x_n, roots: RootSet):
         raise ValueError("kernel evaluated at negative normal coordinate")
     if j == 0:
         return stable_divided_difference(expand_modes(roots.t1, x),
-                                         expand_modes(roots.t2, x), x)
+                                         expand_modes(roots.t2, x), x,
+                                         exps[1], exps[2])
     core = stable_divided_difference(expand_modes(roots.omega, x),
-                                     expand_modes(roots.t(j), x), x)
+                                     expand_modes(roots.t(j), x), x,
+                                     exps[0], exps[j])
     return expand_modes(roots.r_frak(j), x) * core
-

@@ -185,14 +185,15 @@ def test_criterion_6_kernel_stability():
         om = t1 * (1 + om_gap)  # omega coincident band for M1
         roots = sy.RootSet(xi2=np.nan, lam=np.nan, omega=om, t1=t1, t2=t2,
                            s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+        table = hs.channel_table(roots, x)
         ref0 = quadrature_reference(t1, t2, x)
-        got0 = sy.kernel_M(0, x, roots)
+        got0 = table["M0"]
         worst_band = max(worst_band, float(np.max(np.abs(got0 - ref0))
                                            / np.max(np.abs(ref0))))
         for j, t in ((1, t1), (2, t2)):
             rj = roots.r_frak(j)
             refj = rj * quadrature_reference(om, t, x)
-            gotj = sy.kernel_M(j, x, roots)
+            gotj = table[f"M{j}"]
             worst_band = max(worst_band, float(np.max(np.abs(gotj - refj))
                                                / np.max(np.abs(refj))))
     # coincidence limit: gap-extrapolated kernel vs -x exp(-t1 x)
@@ -204,7 +205,8 @@ def test_criterion_6_kernel_stability():
         r_b = sy.RootSet(xi2=np.nan, lam=np.nan, omega=2.0 + 0j, t1=t1,
                          t2=t1 + gap / 2, s1=DC112.s1, s2=DC112.s2,
                          mu=P112.mu)
-        extrap = 2.0 * sy.kernel_M(0, x, r_b) - sy.kernel_M(0, x, r_a)
+        extrap = (2.0 * hs.channel_table(r_b, x)["M0"]
+                  - hs.channel_table(r_a, x)["M0"])
         limit = -x * np.exp(-t1 * x)
         worst_lim = max(worst_lim, float(np.max(np.abs(extrap - limit))
                                          / np.max(np.abs(limit))))

@@ -1,14 +1,16 @@
+import gc
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from korteweg import certify, symbols
-from korteweg.certify import (Certificate, GridSpec, certify_multiplier,
-                              certify_registry, empirical_sigma_star,
-                              jet_derivatives, scan_lower_bound,
-                              symbol_registry)
+from korteweg.certify import (Certificate, GridSpec, Jet,
+                              certify_multiplier, certify_registry,
+                              empirical_sigma_star, jet_derivatives,
+                              scan_lower_bound, symbol_registry)
 from korteweg.errors import BranchCutHit, EmptyGrid
 from korteweg.model import (MaterialParams, Sector, default_sigma,
                             derive_constants)
@@ -238,28 +240,79 @@ def test_shared_exponents_leave_certificates_unchanged(p):
             certify_multiplier(alone, name, order, typ, sec, p, grid), name
 
 
-def test_each_certificate_evaluates_its_symbol_once(monkeypatch):
-    roots_calls = []
+def counted_roots_t(monkeypatch):
+    """Patch the registry's ``roots_t`` with one that records each
+    ``RootSet`` it returns; returns that list."""
+    made = []
     roots_t = certify.roots_t
 
-    def counted_roots(*args, **kwargs):
-        roots_calls.append(1)
-        return roots_t(*args, **kwargs)
+    def counted(*args, **kwargs):
+        made.append(roots_t(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(certify, "roots_t", counted_roots)
-    sec = Sector(DC.sigma_w + 0.25, 0.0)
-    for name, (fn, order, typ) in symbol_registry(P, DC).items():
-        calls = []
+    monkeypatch.setattr(certify, "roots_t", counted)
+    return made
 
-        def counted(xi, lam, fn=fn):
-            calls.append(1)
-            return fn(xi, lam)
 
-        roots_calls.clear()
-        certify_multiplier(counted, name, order, typ, sec, P,
-                           GridSpec(6, 3, 6), max_alpha=3)
-        assert len(calls) == 1, name
-        assert len(roots_calls) == (name not in ELEMENTARY), name
+def test_each_certificate_evaluates_its_symbol_once(monkeypatch):
+    # each closure runs once per certificate, and a registry evaluates
+    # the exponents once per point set: once in a sweep at one grid and
+    # sector, and once more in a sweep at a second sector
+    roots_made = counted_roots_t(monkeypatch)
+    reg = symbol_registry(P, DC)
+    for sweep, extra in enumerate((0.25, 0.35), start=1):
+        sec = Sector(DC.sigma_w + extra, 0.0)
+        for name, (fn, order, typ) in reg.items():
+            calls = []
+
+            def counted(xi, lam, fn=fn):
+                calls.append(1)
+                return fn(xi, lam)
+
+            certify_multiplier(counted, name, order, typ, sec, P,
+                               GridSpec(6, 3, 6), max_alpha=3)
+            assert len(calls) == 1, name
+        assert len(roots_made) == sweep
+
+
+def test_mpmath_values_recompute_the_roots(monkeypatch):
+    # numpy jets fill the slot; mpmath values of the same point are
+    # never matched against it, so the roots are computed again from them,
+    # and mpmath values of a second point are not matched against those
+    made = []
+
+    def roots_t(xi2, lam, dc, mu):
+        made.append(1)
+        if isinstance(xi2, Jet):
+            return symbols.roots_t(xi2, lam, dc, mu)
+        return mp_roots_t(xi2, lam, dc, mu)
+
+    monkeypatch.setattr(certify, "roots_t", roots_t)
+    fn, _, _ = symbol_registry(P, DC)["t1"]
+    xi, lam = np.array([0.7]), np.array([2.0 + 1.5j])
+    jets = jet_derivatives(fn, xi, lam, 2)
+    assert len(made) == 1
+    with mp.workdps(40):
+        value = fn(mp.mpf(xi[0]), mp.mpc(lam[0]))
+    assert isinstance(value, mp.mpc) and len(made) == 2
+    assert complex(value) == pytest.approx(jets[0, 0, 0], rel=1e-15)
+    with mp.workdps(40):
+        other = fn(mp.mpf(1.3), mp.mpc(lam[0]))
+    assert len(made) == 3
+    assert complex(other) == pytest.approx(
+        jet_derivatives(fn, np.array([1.3]), lam, 2)[0, 0, 0], rel=1e-15)
+
+
+def test_second_point_set_releases_the_first_roots(monkeypatch):
+    roots_made = counted_roots_t(monkeypatch)
+    fn, _, _ = symbol_registry(P, DC)["m1"]
+    grid = GridSpec(6, 3, 6)
+    for extra in (0.25, 0.35):
+        xi, lam = grid.points(Sector(DC.sigma_w + extra, 0.0))
+        jet_derivatives(fn, xi, lam, 2)
+    first = weakref.ref(roots_made.pop(0))
+    gc.collect()
+    assert len(roots_made) == 1 and first() is None
 
 
 def test_certify_registry_is_the_sigma_star_sweep():

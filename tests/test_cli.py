@@ -447,6 +447,22 @@ class TestReport:
         assert report["probe"] is None
         assert report["provenance"]["sizes"] == {}
 
+    def test_p_scan_at_or_below_sigma_w_is_skipped(self, tmp_path,
+                                                   monkeypatch):
+        # on (0.1, 0.1, 1) sigma_w = 1.4706 > pi/3: a P scan at pi/3 would
+        # sample P's zero rays, so the report skips it and says why
+        monkeypatch.setattr(cli, "REPORT", {"scans": cli.REPORT["scans"]})
+        code, report = run_json(tmp_path, "wide_floor", ["report"], {
+            "params": {"mu": 0.1, "nu": 0.1, "kappa": 1}})
+        assert code == 0
+        *ran, skipped = report["scans"]
+        assert [s["scan"]["target"] for s in ran] == ["l1", "l2", "P"]
+        sigma_w = derive_constants(MaterialParams(0.1, 0.1, 1.0)).sigma_w
+        assert ran[2]["scan"]["sigma"] > sigma_w
+        assert skipped == {"target": "P", "sigma": math.pi / 3,
+                           "skipped": "sigma = 1.0472 <= sigma_w = 1.4706: "
+                                      "the sector holds zero rays of P"}
+
     def test_inadmissible_params_exit_2(self, tmp_path, capsys):
         code, out = run_json(tmp_path, "bad", ["report"],
                              {"params": {"mu": 1, "nu": 1, "kappa": 1}})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ def free_exponents(omega, t1, t2):
     the kernels read only the exponents, so the point is left NaN."""
     return sy.RootSet(xi2=np.nan, lam=np.nan, omega=omega, t1=t1, t2=t2,
                       s1=DC112.s1, s2=DC112.s2, mu=P112.mu)
+
+
+def kernel(j, x, r):
+    """M_j at the normal samples x, from the exponentials of ``r`` there."""
+    return sy.kernel_M(j, x, r, sy.decay_exponentials(r, x))
 
 
 def sector_samples(dc, rng, n, sigma_extra=0.2, lam_range=(1e-2, 1e4),
@@ -187,11 +194,11 @@ class TestKernels:
     def test_zero_at_origin(self):
         r = self.roots_at(1.0, 2.0 + 1j)
         for j in range(3):
-            assert sy.kernel_M(j, 0.0, r) == pytest.approx(0.0, abs=1e-15)
+            assert kernel(j, 0.0, r) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_value(self):
         r = free_exponents(1.5 + 0j, 1.0 + 0j, 2.0 + 0j)
-        got = sy.kernel_M(0, 1.0, r)
+        got = kernel(0, 1.0, r)
         assert got == pytest.approx(np.exp(-2) - np.exp(-1), rel=1e-14)
 
     def test_coincidence_limit(self):
@@ -202,13 +209,13 @@ class TestKernels:
         for gap in [1e-3, 1e-6]:
             t2 = t1 + gap
             r = free_exponents(2.0 + 0j, t1, t2)
-            got = sy.kernel_M(0, x, r)
+            got = kernel(0, x, r)
             limit = -x * np.exp(-t1 * x)
             tol = 1e-10 if gap == 1e-3 else 1e-9
             assert np.max(np.abs(got - limit)) < max(gap * 10, tol * 10)
         # sharp check at the tightest gap of the acceptance criterion
         r = free_exponents(2.0 + 0j, t1, t1 + 1e-6)
-        got = sy.kernel_M(0, x, r)
+        got = kernel(0, x, r)
         assert np.max(np.abs(got - (-x * np.exp(-t1 * x)))) < 1e-5
 
     def test_dual_path_overlap_band(self):
@@ -228,9 +235,26 @@ class TestKernels:
             ref = -x * np.tensordot(
                 w, np.exp(-np.multiply.outer(exponents, x)), axes=(0, 0))
             r = free_exponents(2.0 + 0j, t1, t2)
-            got = sy.kernel_M(0, x, r)
+            got = kernel(0, x, r)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) / scale < 1e-10
+
+    def test_batch_mixing_near_and_far_modes(self):
+        # |xi'|^2 >> |lam| brings omega, t1 and t2 together: the first 9
+        # modes lie outside the EPS_SWITCH band of every kernel, the other
+        # 16 inside; each mode of the batch equals that mode alone
+        r = self.roots_at(np.logspace(0.0, 12.0, 25), 10.0 * np.exp(0.5j))
+        x = np.linspace(0.0, 10.0, 41)
+        for j, (a, b) in enumerate([(r.t1, r.t2), (r.omega, r.t1),
+                                    (r.omega, r.t2)]):
+            near = np.abs(b - a) <= sy.EPS_SWITCH * (np.abs(a) + np.abs(b))
+            assert near.tolist() == [False] * 9 + [True] * 16
+            batch = kernel(j, x, r)
+            for k in range(25):
+                one = dataclasses.replace(
+                    r, xi2=r.xi2[k:k + 1], omega=r.omega[k:k + 1],
+                    t1=r.t1[k:k + 1], t2=r.t2[k:k + 1])
+                assert np.array_equal(kernel(j, x, one)[0], batch[k]), (j, k)
 
     @staticmethod
     def kernel_derivative(j, x, r):
@@ -252,7 +276,7 @@ class TestKernels:
         x = rng.uniform(0.2, 3.0, 30)
         h = 1e-6
         for j in range(3):
-            fd = (sy.kernel_M(j, x + h, r) - sy.kernel_M(j, x - h, r)) / (2 * h)
+            fd = (kernel(j, x + h, r) - kernel(j, x - h, r)) / (2 * h)
             got = self.kernel_derivative(j, x, r)
             # diagonal of the modes-by-samples arrays
             fd = np.diagonal(fd) if fd.ndim == 2 else fd
@@ -266,5 +290,5 @@ def test_kernel_paths_agree_on_mode_arrays():
     lam = 10.0 * np.exp(1j * rng.uniform(-2, 2, 64))
     r = sy.roots_t(xi2, lam, DC112, P112.mu)
     x = np.linspace(0, 10, 17)
-    out = sy.kernel_M(0, x, r)
+    out = kernel(0, x, r)
     assert out.shape == (64, 17)
