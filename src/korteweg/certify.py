@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .errors import EmptyGrid, ZeroRaysInSector
 from .model import (DerivedConstants, MaterialParams, Sector,
                     default_sigma, derive_constants)
 from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
@@ -123,8 +123,15 @@ def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
     With return_points=True also returns the per-point (xi, lam, ratio)
     arrays for CSV emission.  ``dc`` stays an argument: the symbols
     benchmark passes the constants it derived once per parameter set.
+    A P scan at sigma <= sigma_w is refused (``ZeroRaysInSector``, a
+    ValueError): its sector holds P's zero rays, so the infimum is 0
+    whatever the grid says.
     """
     dc = derive_constants(p) if dc is None else dc
+    if target == "P" and sector.sigma <= dc.sigma_w:
+        raise ZeroRaysInSector(f"sigma = {sector.sigma:.4f} <= sigma_w = "
+                               f"{dc.sigma_w:.4f}: the sector holds zero "
+                               "rays of P")
     xi, lam = grid.points(sector)
     vals = _scan_values(target, xi, lam, p, dc)
     k = int(np.argmin(vals))

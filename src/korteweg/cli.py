@@ -30,7 +30,7 @@ from . import __version__, fieldio
 from .certify import (GridSpec, certify_registry, empirical_sigma_star,
                       scan_lower_bound)
 from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
-                     SingularLopatinskii)
+                     SingularLopatinskii, ZeroRaysInSector)
 from .halfspace import residual_reduced, solve_reduced
 from .manufactured import (InteriorBump, ManufacturedPair, manufactured_data,
                            manufactured_fields)
@@ -379,20 +379,20 @@ def _run_probe(cfg: ScenarioConfig) -> Output:
 def _report_scans(cfg: ScenarioConfig) -> list:
     """The l1 and l2 scans at the scan default sigma, and the P scan at
     ``default_sigma(sigma_w, 0.1)`` and pi/3, each with its refinement
-    drift.  A P scan at sigma <= sigma_w would sample P's zero rays, so
-    its entry holds the job and the reason it was skipped instead."""
+    drift.  A scan the library refuses (P at sigma <= sigma_w, whose
+    sector holds P's zero rays) has an entry that holds the job and the
+    reason it was refused instead."""
     dc = derive_constants(cfg.params)
     jobs = [{"target": "l1"}, {"target": "l2"},
             {"target": "P", "sigma": default_sigma(dc.sigma_w, 0.1)},
             {"target": "P", "sigma": math.pi / 3}]
     section = []
     for job in jobs:
-        if job["target"] == "P" and job["sigma"] <= dc.sigma_w:
-            section.append(dict(job, skipped=(
-                f"sigma = {job['sigma']:.4f} <= sigma_w = {dc.sigma_w:.4f}: "
-                "the sector holds zero rays of P")))
+        try:
+            result, _, refined = _scan_pair(replace(cfg, extra=job), dc)
+        except ZeroRaysInSector as exc:
+            section.append(dict(job, skipped=str(exc)))
             continue
-        result, _, refined = _scan_pair(replace(cfg, extra=job), dc)
         section.append({"scan": result.to_json(),
                         "refined": refined.to_json(),
                         "drift": abs(refined.constant - result.constant)

@@ -41,6 +41,10 @@ class EmptyGrid(KortewegError):
     """A scan was requested over an empty sample grid."""
 
 
+class ZeroRaysInSector(KortewegError, ValueError):
+    """A scan sector holds zero rays of its target: the infimum is 0."""
+
+
 class ZeroDenominator(KortewegError):
     """Ratio undefined because every input vanishes."""
 

@@ -11,7 +11,10 @@ normal coordinate.  Two coefficient paths exist:
 Field assembly in production goes through the eliminated operator
 formulas (``s6_profiles``): every coefficient is a ratio of the
 eliminated symbols with no explicit 1/lam or 1/(t2-t1), and the
-near-coincident kernel channels are evaluated stably.
+near-coincident kernel channels are evaluated stably.  The data reach
+the velocity only through g_j, w = 2 omega (i xi'.g') - (omega^2 +
+|xi'|^2) g_N and h, so the velocity is one shear term
+g_j / (mu omega) e^{-omega x} plus i xi_j times one shared profile v.
 
 Profiles are stored per channel (exp(-omega x), exp(-t1 x), exp(-t2 x),
 M0, M1, M2) so normal derivatives are exact recurrences, never finite
@@ -302,24 +305,15 @@ def coefficients_closed_form(xi, lam, g_hat0, h_hat0,
     roots = roots_t(xi2, lam, derive_constants(p), p.mu)
     L = lopatinskii(roots)
     _check_singular(frak_symbols(roots), roots)
-    om, t1, t2 = roots.omega, roots.t1, roots.t2
-    n = len(xi) + 1
-    ixi_g = sum(1j * xi[j] * g_hat0[j] for j in range(n - 1))
-    det = L.det_factored
-    beta_n = (-2 * t1 * t2 * om * L.L11 / (p.mu * det) * ixi_g
-              + t1 * t2 * (om * om + xi2) * L.L11 / (p.mu * det)
-              * g_hat0[n - 1]
-              + lam * L.L12 / det * h_hat0)
-    gamma_n = (-2 * t1 * t2 * om * L.L21 / (p.mu * det) * ixi_g
-               + t1 * t2 * (om * om + xi2) * L.L21 / (p.mu * det)
-               * g_hat0[n - 1]
-               + lam * L.L22 / det * h_hat0)
+    rhs1, rhs2 = _lopatinskii_rhs(xi, roots, g_hat0, h_hat0)
+    beta_n = (L.L11 * rhs1 + L.L12 * rhs2) / L.det_factored
+    gamma_n = (L.L21 * rhs1 + L.L22 * rhs2) / L.det_factored
     alpha, beta, gamma = _amplitudes_from_bn_gn(xi, roots, g_hat0, beta_n,
                                                 gamma_n)
     # t_j^2 - |xi|^2 = s_j lam exactly, so the density amplitudes are
     # s_j / t_j times the channel amplitude: no explicit 1/lam
-    rho1 = roots.s1 / t1 * beta_n
-    rho2 = roots.s2 / t2 * gamma_n
+    rho1 = roots.s1 / roots.t1 * beta_n
+    rho2 = roots.s2 / roots.t2 * gamma_n
     return ModeSolution(xi=xi, lam=lam, roots=roots, alpha=alpha, beta=beta,
                         gamma=gamma, rho1=rho1, rho2=rho2)
 
@@ -329,7 +323,13 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, p: MaterialParams):
 
     Returns (rho_profile, [u_1 .. u_N profiles], roots).  Coefficients
     contain only the eliminated symbols; kernels M0/M1/M2 absorb every
-    root-difference quotient.
+    root-difference quotient.  The data reach the velocity only through
+    g_j, w = 2 omega (i xi'.g') - (omega^2 + |xi'|^2) g_N and h.  One
+    profile v carries w and h: each tangential component is
+    u_j = g_j / (mu omega) e^{-omega x} + i xi_j v, and u_N has v's form
+    with q_l in place of p_l (over omega, not omega^2) on e^{-omega x}
+    and -t_l times v's coefficient on M_l.  So the part of g' orthogonal
+    to xi' excites only the omega channel.
     """
     xi = tuple(np.asarray(c) for c in xi)
     xi2 = sum(c * c for c in xi)
@@ -337,14 +337,12 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, p: MaterialParams):
     fr = frak_symbols(roots)
     _check_singular(fr, roots)
     om, t1, t2, s1, s2 = roots.omega, roots.t1, roots.t2, roots.s1, roots.s2
+    t, s = roots.t, roots.s
     mu = p.mu
     n = len(xi) + 1
     gN = g_hat0[n - 1]
     ixi_g = sum(1j * xi[k] * g_hat0[k] for k in range(n - 1))
-    xi_g = sum(xi[k] * g_hat0[k] for k in range(n - 1))
     opx = om * om + xi2
-    t_of = {1: t1, 2: t2}
-    s_of = {1: s1, 2: s2}
     l_of = {1: fr.l1, 2: fr.l2}
     m_of = {1: fr.m1, 2: fr.m2}
     p_of = {1: fr.p1, 2: fr.p2}
@@ -356,65 +354,38 @@ def s6_profiles(xi, lam, g_hat0, h_hat0, p: MaterialParams):
     rho = ChannelProfile()
     c_t1 = (t1 * s1 * s2 * (t1 + om) / (mu * fr.l1)
             * (-2.0 * om * ixi_g + opx * gN))
-    c_t1 = c_t1 + sum(sign[l] * fr.a * t_of[l] * m_of[l]
-                      / (s_of[l] * l_of[l]) for l in (1, 2)) * h_hat0
+    c_t1 = c_t1 + sum(sign[l] * fr.a * t(l) * m_of[l]
+                      / (s(l) * l_of[l]) for l in (1, 2)) * h_hat0
     rho.add("exp_t1", c_t1)
     c_m0 = (s1 * s2 * t1 ** 2 * (t1 + om) / (mu * fr.l1)
             * (2.0 * om * ixi_g - opx * gN))
     c_m0 = c_m0 + lam * s2 * t1 * fr.m1 / fr.l1 * h_hat0
     rho.add("M0", c_m0)
 
-    # tangential velocity components
+    # velocity: the omega-channel numerators of v (over omega^2) and of
+    # u_N (over omega), and v's kernel coefficients
+    w = 2.0 * om * ixi_g - opx * gN
+    v_om = u_om = gN / (2 * mu)
+    v_m = {}
+    for l, m in pairs:
+        by_w = sign[l] * t1 * t2 * fr.a * w / (2 * mu * s(l) * l_of[l])
+        by_h = (sign[l] * lam * fr.b * t(l) * m_of[l] * h_hat0
+                / (2 * l_of[l] * (t(m) + om)))
+        v_om = v_om - by_w * p_of[l] + by_h * p_of[m]
+        u_om = u_om - by_w * q_of[l] + by_h * q_of[m]
+        v_m[f"M{l}"] = sign[l] * (t1 * t2 * s1 * s2 * (t(l) + om) * w
+                                  / (mu * s(l) * l_of[l])
+                                  + lam * t(m) * m_of[m] * h_hat0 / l_of[m])
+    v = {"exp_omega": v_om / (om * om), **v_m}
     u_profiles = []
     for j in range(n - 1):
-        prof = ChannelProfile()
-        c_om = g_hat0[j] / (mu * om) + 1j * xi[j] / (2 * mu * om * om) * gN
-        for l in (1, 2):
-            c_om = c_om + (sign[l] * xi[j] * t1 * t2 * fr.a * p_of[l]
-                           / (mu * om * s_of[l] * l_of[l]) * xi_g)
-            c_om = c_om + (sign[l] * 1j * xi[j] * t1 * t2 * opx * fr.a
-                           * p_of[l] / (2 * mu * om * om * s_of[l] * l_of[l])
-                           * gN)
-        for l, m in pairs:
-            c_om = c_om + (sign[l] * lam * 1j * xi[j] * fr.b * t_of[l]
-                           * m_of[l] * p_of[m]
-                           / (2 * om * om * l_of[l] * (t_of[m] + om))
-                           * h_hat0)
-        prof.add("exp_omega", c_om)
-        for l in (1, 2):
-            c_ml = -(sign[l] * 2 * xi[j] * om * t1 * t2 * s1 * s2
-                     * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * xi_g)
-            c_ml = c_ml - (sign[l] * 1j * xi[j] * t1 * t2 * opx * s1 * s2
-                           * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * gN)
-            prof.add(f"M{l}", c_ml)
-        for l, m in pairs:
-            prof.add(f"M{m}", -(sign[l] * lam * 1j * xi[j] * t_of[l]
-                                * m_of[l] / l_of[l]) * h_hat0)
+        prof = ChannelProfile({"exp_omega": g_hat0[j] / (mu * om)})
+        for ch, c in v.items():
+            prof.add(ch, 1j * xi[j] * c)
         u_profiles.append(prof)
-
-    # normal velocity component
-    prof = ChannelProfile()
-    c_om = gN / (2 * mu * om)
-    for l in (1, 2):
-        c_om = c_om - (sign[l] * t1 * t2 * fr.a * q_of[l]
-                       / (mu * s_of[l] * l_of[l]) * ixi_g)
-        c_om = c_om + (sign[l] * t1 * t2 * opx * fr.a * q_of[l]
-                       / (2 * mu * om * s_of[l] * l_of[l]) * gN)
-    for l, m in pairs:
-        c_om = c_om + (sign[l] * lam * fr.b * t_of[l] * m_of[l] * q_of[m]
-                       / (2 * om * l_of[l] * (t_of[m] + om)) * h_hat0)
-    prof.add("exp_omega", c_om)
-    for l in (1, 2):
-        c_ml = -(sign[l] * 2 * t1 * t2 * om * s1 * s2 * t_of[l]
-                 * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * ixi_g)
-        c_ml = c_ml + (sign[l] * t1 * t2 * opx * s1 * s2 * t_of[l]
-                       * (t_of[l] + om) / (mu * s_of[l] * l_of[l]) * gN)
-        prof.add(f"M{l}", c_ml)
-    for l, m in pairs:
-        prof.add(f"M{m}", sign[l] * lam * t1 * t2 * m_of[l] / l_of[l]
-                 * h_hat0)
-    u_profiles.append(prof)
-
+    u_profiles.append(ChannelProfile({"exp_omega": u_om / om,
+                                      "M1": -t1 * v["M1"],
+                                      "M2": -t2 * v["M2"]}))
     return rho, u_profiles, roots
 
 

@@ -72,6 +72,17 @@ class TestScans:
         blob = r.to_json()
         assert blob["target"] == "P" and blob["C"] > 0
 
+    @pytest.mark.parametrize("sigma", [0.6, DC.sigma_w],
+                             ids=["0.6", "sigma_w"])
+    def test_p_scan_at_or_below_sigma_w_refused(self, sigma):
+        # at sigma <= sigma_w = pi/4 the sector holds P's zero rays, so
+        # the infimum is 0; the grid alone would report C = 0.0206 at 0.6
+        with pytest.raises(ValueError, match=rf"sigma = {sigma:.4f} <= "
+                           r"sigma_w = 0\.7854: the sector holds zero "
+                           r"rays of P"):
+            scan_lower_bound("P", Sector(sigma, 0.0), GridSpec(4, 3, 4), P,
+                             DC)
+
     def test_unknown_target_refused_before_evaluation(self, monkeypatch):
         def roots_t(*args, **kwargs):
             raise AssertionError("roots_t evaluated")

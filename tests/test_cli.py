@@ -161,6 +161,19 @@ class TestScenarios:
         assert run_cli(["scan", "--config", str(cfg)]) == 2
         assert "invalid grid" in capsys.readouterr().err
 
+    def test_p_scan_below_sigma_w_exit_2(self, tmp_path, capsys):
+        # sigma = 0.6 < sigma_w = pi/4 on (1, 1, 2): the sector holds P's
+        # zero rays, so the scan is refused, not sampled
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "scan", "target": "P", "sigma": 0.6,
+            "params": {"mu": 1, "nu": 1, "kappa": 2}}))
+        assert run_cli(["scan", "--config", str(cfg), "--out",
+                        str(tmp_path)]) == 2
+        assert "sigma = 0.6000 <= sigma_w = 0.7854: the sector holds zero " \
+            "rays of P" in capsys.readouterr().err
+        assert not list(tmp_path.glob("scan_P*"))
+
     @pytest.mark.parametrize("target,key,value", [
         ("certificates", "grid", {"n_lambda": 4, "n_theta": 3, "n_xi": 4}),
         ("certificates", "sigma", 1.2),

@@ -179,8 +179,20 @@ class TestAmplitudeRelations:
                       / scale) < 1e-12
 
 
+def off_lattice_modes(rng, n, dim_t, xi_max):
+    """n tangential frequencies: moduli log-uniform in [1e-3, xi_max] and,
+    with two axes, directions uniform on the circle."""
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(xi_max), n))
+    r *= np.sign(rng.standard_normal(n))
+    if dim_t == 1:
+        return (r,)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    return (r * np.cos(angle), r * np.sin(angle))
+
+
 class TestS6Path:
-    def test_matches_amplitude_path(self):
+    @pytest.mark.parametrize("dim_t", [1, 2])
+    def test_matches_amplitude_path(self, dim_t):
         # comparison restricted to the window where the two-exponential
         # amplitude representation is itself well-conditioned; outside it
         # only the eliminated path is trustworthy (which is why it is the
@@ -189,20 +201,48 @@ class TestS6Path:
         for p in PARAM_SETS:
             lam = complex(np.exp(rng.uniform(0, 6))
                           * np.exp(1j * rng.uniform(-1.8, 1.8)))
-            xi = np.exp(rng.uniform(np.log(1e-3),
-                                    np.log(10 * np.sqrt(abs(lam))), 3000))
-            xi *= np.sign(rng.standard_normal(3000))
-            g, h = random_boundary_data(rng, 3000)
-            ms = hs.coefficients_closed_form((xi,), lam, g, h, p)
-            rho6, u6, roots = hs.s6_profiles((xi,), lam, g, h, p)
+            xi = off_lattice_modes(rng, 3000, dim_t, 10 * np.sqrt(abs(lam)))
+            g, h = random_boundary_data(rng, 3000, dim_t + 1)
+            ms = hs.coefficients_closed_form(xi, lam, g, h, p)
+            rho6, u6, roots = hs.s6_profiles(xi, lam, g, h, p)
             x = np.linspace(0.0, 10.0, 9)
             a = ms.rho_profile().evaluate(ms.roots, x)
             b = rho6.evaluate(roots, x)
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
-            for c in range(2):
+            for c in range(dim_t + 1):
                 a = ms.u_profile(c).evaluate(ms.roots, x)
                 b = u6[c].evaluate(roots, x)
                 assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+    def test_shear_data_excites_only_the_omega_channel(self):
+        # in 3-D, g' orthogonal to xi' with g_N = 0 and h = 0 leaves
+        # w = 2 omega (i xi'.g') - (omega^2 + |xi'|^2) g_N = 0: rho and
+        # u_N vanish and u' = g' / (mu omega) e^{-omega x}, on both paths
+        rng = np.random.default_rng(53)
+        x = np.linspace(0.0, 10.0, 9)
+        for p in PARAM_SETS:
+            lam = complex(np.exp(rng.uniform(0, 6))
+                          * np.exp(1j * rng.uniform(-1.8, 1.8)))
+            xi = off_lattice_modes(rng, 3000, 2, 10 * np.sqrt(abs(lam)))
+            amp = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+            g = np.stack([-xi[1] * amp, xi[0] * amp,
+                          np.zeros(3000, dtype=complex)])
+            h = np.zeros(3000, dtype=complex)
+            ms = hs.coefficients_closed_form(xi, lam, g, h, p)
+            rho6, u6, roots = hs.s6_profiles(xi, lam, g, h, p)
+            om = roots.omega
+            want = g[:2, :, None] / (p.mu * om[:, None]) \
+                * np.exp(-om[:, None] * x)
+            scale = np.max(np.abs(want))
+            for rho, u in [(rho6.evaluate(roots, x),
+                            [prof.evaluate(roots, x) for prof in u6]),
+                           (ms.rho_profile().evaluate(ms.roots, x),
+                            [ms.u_profile(c).evaluate(ms.roots, x)
+                             for c in range(3)])]:
+                assert np.max(np.abs(rho)) < 1e-14 * scale
+                assert np.max(np.abs(u[2])) < 1e-14 * scale
+                assert np.max(np.abs(np.stack(u[:2]) - want)) \
+                    < 1e-14 * scale
 
     def test_h_only_data_excites_kernel_channels(self):
         # with g = 0 the density profile keeps its h-driven channels

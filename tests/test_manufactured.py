@@ -86,6 +86,11 @@ def test_three_dimensional_half_space():
                          .transpose(2, 0, 1)).transpose(1, 2, 0)
     got = sol.rho()
     assert np.max(np.abs(got - rho_star)) <= 1e-10 * np.max(np.abs(rho_star))
+    u_star = np.stack([grid.ifft(star.u_profile(c).evaluate(star.roots, x)
+                                 .transpose(2, 0, 1)).transpose(1, 2, 0)
+                       for c in range(3)])
+    got = sol.u()
+    assert np.max(np.abs(got - u_star)) <= 1e-10 * np.max(np.abs(u_star))
     res = hs.residual_reduced(sol, g, h)
     scale = np.max(np.abs(g)) + np.max(np.abs(h))
     assert res.max_all() <= 1e-10 * scale
