@@ -117,7 +117,7 @@ def symbols():
                     name = f"scan/{tag}/{target}@{angle}/{label}"
                     emit(name, res.to_json())
                     emit(f"{name}/values", vals)
-        sigma_star, _, certs = certify.certify_registry(p)
+        sigma_star, _, _, certs = certify.certify_registry(p)
         emit(f"sigma_star/{tag}", sigma_star)
         for cert in certs:
             emit(f"certificate/{tag}/{cert.symbol_id}",

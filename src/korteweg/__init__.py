@@ -9,8 +9,8 @@ from .symbols import (FrakSymbols, Lopatinskii, RootSet,
                       lopatinskii, omega_lambda, roots_t,
                       whole_space_symbol_P)
 from .certify import (Certificate, GridSpec, certify_multiplier,
-                      certify_registry, empirical_sigma_star,
-                      scan_lower_bound, symbol_registry)
+                      certify_registry, scan_lower_bound, sigma_star,
+                      symbol_registry)
 from .wholespace import (BoxGrid, WholeField, residual_whole, solve_whole)
 from .halfspace import (ModeSolution, NormalSamples, TangentialGrid,
                         coefficients_closed_form, coefficients_direct,

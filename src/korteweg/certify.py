@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EmptyGrid, ZeroRaysInSector
-from .model import (DerivedConstants, MaterialParams, Sector,
-                    default_sigma, derive_constants)
+from .model import (DerivedConstants, MaterialParams, Sector, default_sigma,
+                    derive_constants, lam_derivative, radial_stencil)
 from .symbols import (frak_a, frak_b, frak_l, frak_m, frak_p, frak_q,
-                      lopatinskii, principal_sqrt, roots_t,
+                      lopatinskii, principal_sqrt, reduced_det, roots_t,
                       whole_space_symbol_P)
 
 SCAN_TARGETS = ("P", "re_omega", "re_t1", "re_t2", "l1", "l2", "detL")
@@ -123,15 +123,15 @@ def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
     With return_points=True also returns the per-point (xi, lam, ratio)
     arrays for CSV emission.  ``dc`` stays an argument: the symbols
     benchmark passes the constants it derived once per parameter set.
-    A P scan at sigma <= sigma_w is refused (``ZeroRaysInSector``, a
-    ValueError): its sector holds P's zero rays, so the infimum is 0
-    whatever the grid says.
+    A sector holding zero rays of the target is refused
+    (``ZeroRaysInSector``, a ValueError): P's at sigma <= sigma_w, and
+    l1's, l2's and detL's at or below the ``zero_ray_floor``.
     """
     dc = derive_constants(p) if dc is None else dc
-    if target == "P" and sector.sigma <= dc.sigma_w:
-        raise ZeroRaysInSector(f"sigma = {sector.sigma:.4f} <= sigma_w = "
-                               f"{dc.sigma_w:.4f}: the sector holds zero "
-                               "rays of P")
+    if target == "P":
+        refuse_zero_rays(sector.sigma, "sigma_w", dc.sigma_w, "P")
+    elif target in ("l1", "l2", "detL"):
+        refuse_zero_rays(sector.sigma, *zero_ray_floor(p, dc))
     xi, lam = grid.points(sector)
     vals = _scan_values(target, xi, lam, p, dc)
     k = int(np.argmin(vals))
@@ -144,50 +144,56 @@ def scan_lower_bound(target: str, sector: Sector, grid: GridSpec,
     return result
 
 
-# the sigma* bisection: its scan grid, the degeneration threshold relative
-# to the wide-angle constant, and the number of halvings
-SIGMA_STAR_GRID = GridSpec(24, 9, 24)
-SIGMA_STAR_FRAC = 1e-3
-SIGMA_STAR_BISECTIONS = 24
+def sigma_star(p: MaterialParams, dc: DerivedConstants | None = None):
+    """(sigma*, rays): the sorted zero rays pi - |arg z| > sigma_w of the
+    Lopatinskii determinant, z = lam/|xi'|^2 a zero of ``reduced_det`` D
+    at |xi'| = 1, and sigma* = max(sigma_w + 1e-4, *rays).  D's product
+    over the signs of t1 and t2 is a degree-12 polynomial in z with a
+    triple root at 0; an FFT on |z| = mu gives its coefficients in z / z0
+    and ``np.roots`` the other 9 roots, which Newton polishes on the
+    principal branch.  A root counts if |z| > 1e-8 (Newton can pull it
+    onto D's trivial zero) and |D| <= 1e-10 (1 + |z|^3); copies within
+    1e-7 are merged."""
+    dc = derive_constants(p) if dc is None else dc
+    z0 = p.mu * np.exp(1j * np.pi / 64)     # no sample on a cut of t1, t2
+    r = roots_t(1.0, z0 * np.exp(2j * np.pi * np.arange(64) / 64), dc, p.mu)
+    product = math.prod(reduced_det(replace(r, t1=e1 * r.t1, t2=e2 * r.t2))
+                        for e1 in (1, -1) for e2 in (1, -1))
+    z = z0 * np.roots(np.fft.fft(product)[12:2:-1])
+    for _ in range(6):
+        d = reduced_det(roots_t(1.0, np.column_stack((z, radial_stencil(z))),
+                                dc, p.mu))
+        z = z - z * d[:, 0] / lam_derivative(*d[:, 1:].T)
+    rays = math.pi - np.abs(np.angle(z))
+    rays = np.sort(rays[(np.abs(z) > 1e-8) & (rays > dc.sigma_w) & (
+        np.abs(reduced_det(roots_t(1.0, z, dc, p.mu)))
+        <= 1e-10 * (1 + np.abs(z) ** 3))])
+    rays = tuple(map(float, rays[np.diff(rays, prepend=0.0) > 1e-7]))
+    return max((dc.sigma_w + 1e-4, *rays)), rays
+
+
+def zero_ray_floor(p: MaterialParams, dc: DerivedConstants | None = None):
+    """(name, ray, symbol) of the zero ray every sector and lambda stays
+    above: sigma_L, the largest ``sigma_star`` ray, or else sigma_w."""
+    dc = derive_constants(p) if dc is None else dc
+    rays = sigma_star(p, dc)[1]
+    return ("sigma_L", rays[-1], "the Lopatinskii determinant") if rays \
+        else ("sigma_w", dc.sigma_w, "P")
+
+
+def refuse_zero_rays(sigma: float, name: str, ray: float, symbol: str):
+    """Refuse (``ZeroRaysInSector``) a sector at sigma <= ``ray``."""
+    if sigma <= ray:
+        raise ZeroRaysInSector(f"sigma = {sigma:.4f} <= {name} = {ray:.4f}: "
+                               f"the sector holds zero rays of {symbol}")
 
 
 def empirical_sigma_star(p: MaterialParams, target: str = "l1",
                          dc: DerivedConstants | None = None) -> float:
-    """The floor angle sigma_w + 1e-4, unless the scan there degenerates.
-
-    Returns sigma_w + 1e-4 whenever the scan constant at that angle on
-    SIGMA_STAR_GRID exceeds SIGMA_STAR_FRAC times its reference at
-    pi/2 - 1e-3.  Only otherwise does it bisect (SIGMA_STAR_BISECTIONS
-    halvings) for the smallest sampled angle whose scan still exceeds
-    that threshold.  On every parameter set tried so far (the five
-    acceptance sets and four rejected ones) the floor scan is healthy,
-    so the bisection never runs.  The grid steps over the zero rays of
-    the Lopatinskii symbols that several of those sets have (for
-    example at pi - |arg z*| = 0.6688 on (2, 1, 1)), so the returned
-    angle is not a certified limiting angle.  ``dc`` stays an argument
-    for the symbols benchmark, as in ``scan_lower_bound``.
-    """
-    dc = derive_constants(p) if dc is None else dc
-    hi = math.pi / 2 - 1e-3
-    lo = dc.sigma_w + 1e-4
-    c_ref = scan_lower_bound(target, Sector(hi, 0.0), SIGMA_STAR_GRID, p,
-                             dc).constant
-    thresh = SIGMA_STAR_FRAC * c_ref
-
-    def healthy(sigma):
-        return scan_lower_bound(target, Sector(sigma, 0.0), SIGMA_STAR_GRID,
-                                p, dc).constant > thresh
-
-    if healthy(lo):
-        return lo
-    a, b = lo, hi
-    for _ in range(SIGMA_STAR_BISECTIONS):
-        mid = 0.5 * (a + b)
-        if healthy(mid):
-            b = mid
-        else:
-            a = mid
-    return b
+    """``sigma_star``'s sigma*, that of l1 and l2, under its old name."""
+    if target not in ("l1", "l2"):
+        raise ValueError(f"sigma* is that of l1 and l2, not {target!r}")
+    return sigma_star(p, dc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +370,11 @@ def certify_multiplier(symbol, symbol_id: str, claimed_order: float,
 
 def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
     """Certify registry symbols at the sector angle
-    ``default_sigma(sigma*, 0.1)``, sigma* the empirical one.
+    ``default_sigma(sigma*, 0.1)``, sigma* that of ``sigma_star``.
 
     ``names`` defaults to the whole registry in sorted order, and a name
     outside it is refused; the grid is ``certify_multiplier``'s default.
-    Returns (sigma_star, sector, certificates).
+    Returns (sigma_star, zero_rays, sector, certificates).
     """
     dc = derive_constants(p)
     reg = symbol_registry(p, dc)
@@ -376,14 +382,14 @@ def certify_registry(p: MaterialParams, names=None, max_alpha: int = 2):
     if unknown:
         raise ValueError(f"unknown symbols {unknown}; the registry holds "
                          f"{sorted(reg)}")
-    sigma_star = empirical_sigma_star(p, "l1", dc=dc)
-    sec = Sector(default_sigma(sigma_star, 0.1), 0.0)
+    star, rays = sigma_star(p, dc)
+    sec = Sector(default_sigma(star, 0.1), 0.0)
     certs = []
     for name in names or sorted(reg):
         fn, order, typ = reg[name]
         certs.append(certify_multiplier(fn, name, order, typ, sec, p,
                                         max_alpha=max_alpha))
-    return sigma_star, sec, certs
+    return star, rays, sec, certs
 
 
 def _point_key(arg):

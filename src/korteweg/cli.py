@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fieldio
-from .certify import (GridSpec, certify_registry, empirical_sigma_star,
-                      scan_lower_bound)
+from .certify import (GridSpec, certify_registry, refuse_zero_rays,
+                      scan_lower_bound, sigma_star, zero_ray_floor)
 from .errors import (EmptyGrid, KortewegError, NeumannDiverged,
                      SingularLopatinskii, ZeroRaysInSector)
 from .halfspace import residual_reduced, solve_reduced
@@ -214,7 +214,7 @@ def _scan_pair(cfg: ScenarioConfig, dc):
     """The config's scan with its (xi, lam, ratio) points, and the scan
     on the 2x refined grid."""
     target = cfg.extra.get("target", "l1")
-    sector = cfg.sector(default_sigma(dc.sigma_w, 0.2), 0.0)
+    sector = cfg.sector(default_sigma(zero_ray_floor(cfg.params)[1], 0.2), 0.0)
     grid = _scan_grid(cfg)
     result, points = scan_lower_bound(target, sector, grid, cfg.params, dc,
                                       return_points=True)
@@ -226,10 +226,9 @@ def _run_scan(cfg: ScenarioConfig) -> Output:
     dc = derive_constants(cfg.params)
     result, (xi, lam, vals), refined = _scan_pair(cfg, dc)
     target = result.target
-    sigma_star = empirical_sigma_star(cfg.params, target, dc=dc) \
-        if target in ("l1", "l2") else None
+    star, rays = sigma_star(cfg.params, dc)
     payload = {"scan": result.to_json(), "refined": refined.to_json(),
-               "empirical_sigma_star": sigma_star}
+               "sigma_star": star, "zero_rays": list(rays)}
     rows = ((float(a), float(b.real), float(b.imag), float(v))
             for a, b, v in zip(xi, lam, vals))
     return Output(f"scan_{target}", payload, tables={f"scan_{target}": (
@@ -243,25 +242,25 @@ def _run_certificates(cfg: ScenarioConfig) -> Output:
                                                for n in names)):
         raise ValueError(f"symbols must be a nonempty list of symbol ids, "
                          f"got {names!r}")
-    sigma_star, _, certs = certify_registry(
+    star, rays, _, certs = certify_registry(
         cfg.params, names=names, max_alpha=cfg.get("max_alpha", 2, int))
     return Output("certificates", {
-        "sigma_star": sigma_star,
+        "sigma_star": star, "zero_rays": list(rays),
         "certificates": [c.to_json() for c in certs]})
 
 
 def _admissible(cfg: ScenarioConfig, raw, name: str) -> complex:
     """The config value ``raw`` (a number or [re, im]) as a lambda,
     refused under its config name ``name`` unless it is nonzero with
-    |arg lambda| < pi - sigma_w."""
+    |arg lambda| < pi minus the ``zero_ray_floor``."""
     parts = [raw, 0.0] if isinstance(raw, (int, float)) else raw
     if not (isinstance(parts, list) and len(parts) == 2):
         raise ValueError(f"{name} must be a number or [re, im], got {raw!r}")
     lam = complex(*(_typed(v, float, name) for v in parts))
-    rim = math.pi - derive_constants(cfg.params).sigma_w
-    if lam == 0 or abs(cmath.phase(lam)) >= rim:
-        raise ValueError(f"{name} {lam} must be nonzero with "
-                         f"|arg lambda| < pi - sigma_w = {rim:.6g}")
+    floor_name, floor, _ = zero_ray_floor(cfg.params)
+    if lam == 0 or abs(cmath.phase(lam)) >= math.pi - floor:
+        raise ValueError(f"{name} {lam} must be nonzero with |arg lambda| "
+                         f"< pi - {floor_name} = {math.pi - floor:.6g}")
     return lam
 
 
@@ -343,8 +342,9 @@ def _rbound_estimates(cfg: ScenarioConfig, trials: int) -> dict:
             fam in FAMILIES for fam in fams)):
         raise ValueError(f"family must be one of {list(FAMILIES)} or a "
                          f"nonempty list of them, got {fams!r}")
-    sector = cfg.sector(
-        default_sigma(derive_constants(cfg.params).sigma_w, 0.4), 0.5)
+    floor = zero_ray_floor(cfg.params)
+    sector = cfg.sector(default_sigma(floor[1], 0.4), 0.5)
+    refuse_zero_rays(sector.sigma, *floor)
     geo = _geometry(cfg)
     m_max = cfg.get("m_max", 8, int)
     return {fam: estimate_rbound(fam, sector, cfg.params, geo, m_max=m_max,

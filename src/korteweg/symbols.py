@@ -139,8 +139,8 @@ class Lopatinskii:
     ``matrix`` rows: the first couples the velocity-trace data, the second
     the density-trace datum.  ``L11..L22`` are the cofactor entries of the
     inverse (adjugate), named as they enter the coefficient formulas.
-    ``det_direct`` is the literal 2x2 determinant; ``det_factored`` the
-    (t2 - t1)-factored product form.
+    ``det_direct`` is the literal 2x2 determinant; ``det_factored`` is
+    (t2 - t1) times ``reduced_det``.
     """
 
     matrix: np.ndarray
@@ -152,6 +152,14 @@ class Lopatinskii:
     det_factored: np.ndarray | complex
 
 
+def reduced_det(r: RootSet):
+    """The Lopatinskii determinant over t2 - t1 (``det_factored``)."""
+    om, t1, t2, xi2 = r.omega, r.t1, r.t2, r.xi2
+    opx = om * om + xi2
+    return (opx * opx * (t2 * t2 + t2 * t1 + t1 * t1 - xi2)
+            - 4.0 * t1 * t2 * om * xi2 * (t2 + t1))
+
+
 def lopatinskii(r: RootSet) -> Lopatinskii:
     """Assemble the boundary 2x2 system at the point of ``r``."""
     om, t1, t2, xi2 = r.omega, r.t1, r.t2, r.xi2
@@ -161,8 +169,7 @@ def lopatinskii(r: RootSet) -> Lopatinskii:
     a21 = t1 * t1 - xi2
     a22 = t2 * t2 - xi2
     det_direct = a11 * a22 - a12 * a21
-    det_factored = (t2 - t1) * (opx * opx * (t2 * t2 + t2 * t1 + t1 * t1 - xi2)
-                                - 4.0 * t1 * t2 * om * xi2 * (t2 + t1))
+    det_factored = (t2 - t1) * reduced_det(r)
     matrix = np.stack([np.stack([np.broadcast_to(a11, np.shape(det_direct)),
                                  np.broadcast_to(a12, np.shape(det_direct))], axis=-1),
                        np.stack([np.broadcast_to(a21, np.shape(det_direct)),

@@ -10,7 +10,8 @@ from korteweg import certify, symbols
 from korteweg.certify import (Certificate, GridSpec, Jet,
                               certify_multiplier, certify_registry,
                               empirical_sigma_star, jet_derivatives,
-                              scan_lower_bound, symbol_registry)
+                              scan_lower_bound, sigma_star,
+                              symbol_registry)
 from korteweg.errors import BranchCutHit, EmptyGrid
 from korteweg.model import (MaterialParams, Sector, default_sigma,
                             derive_constants)
@@ -94,10 +95,39 @@ class TestScans:
                              DC)
 
     def test_empirical_sigma_star(self):
+        # the old name returns sigma_star's sigma*, for l1 and l2 alike;
+        # the exact values are pinned by test_sigma_star_is_the_zero_ray
         for p in PARAM_SETS:
             dc = derive_constants(p)
-            ss = empirical_sigma_star(p, "l1", dc=dc)
-            assert dc.sigma_w < ss < math.pi / 2
+            star = sigma_star(p, dc)[0]
+            assert empirical_sigma_star(p, "l1", dc=dc) == star
+            assert empirical_sigma_star(p, "l2") == star
+        with pytest.raises(ValueError, match="sigma\\* is that of l1 and l2"):
+            empirical_sigma_star(P, "P")
+
+    @pytest.mark.parametrize("target", ["l1", "l2", "detL"])
+    def test_l_scan_at_or_below_sigma_w_refused(self, target):
+        # (1, 1, 2) has no Lopatinskii ray, but on P's zero ray z = -1/s_j
+        # t_j vanishes, and l_j with it: the sector at 0.6 < sigma_w holds
+        # that ray (the grid alone reported C = 0.0058 for l1 there)
+        r = symbols.roots_t(1.0, np.array([-(1 - 1e-8) / DC.s1]), DC, P.mu)
+        assert abs(symbols.frak_l(1, r)[0]) < 1e-3
+        with pytest.raises(ValueError, match=r"sigma = 0\.6000 <= sigma_w "
+                           r"= 0\.7854: the sector holds zero rays of P"):
+            scan_lower_bound(target, Sector(0.6, 0.0), GridSpec(4, 3, 4), P,
+                             DC)
+
+    @pytest.mark.parametrize("target", ["l1", "l2", "detL"])
+    def test_scan_holding_a_zero_ray_refused(self, target):
+        # (2, 1, 1): sigma_w = 0 and a zero ray at 0.6688, so the sector
+        # at 0.2 holds zeros of l1, l2 and det L; above the ray it runs
+        p = MaterialParams(2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"sigma = 0\.2000 <= sigma_L "
+                           r"= 0\.6688: the sector holds zero rays of the "
+                           r"Lopatinskii determinant"):
+            scan_lower_bound(target, Sector(0.2, 0.0), GridSpec(4, 3, 4), p)
+        r = scan_lower_bound(target, Sector(0.67, 0.0), GridSpec(4, 3, 4), p)
+        assert r.constant > 0
 
 
 class TestCertify:
@@ -327,10 +357,10 @@ def test_second_point_set_releases_the_first_roots(monkeypatch):
 
 
 def test_certify_registry_is_the_sigma_star_sweep():
-    sigma_star, sec, certs = certify_registry(P, names=["p1"], max_alpha=1)
-    assert sigma_star == empirical_sigma_star(P, "l1", dc=DC)
-    assert sec == Sector(default_sigma(sigma_star, 0.1), 0.0)
-    assert sec.sigma == sigma_star + 0.1
+    star, rays, sec, certs = certify_registry(P, names=["p1"], max_alpha=1)
+    assert (star, rays) == sigma_star(P, DC)
+    assert sec == Sector(default_sigma(star, 0.1), 0.0)
+    assert sec.sigma == star + 0.1
     fn, order, typ = symbol_registry(P, DC)["p1"]
     assert certs == [certify_multiplier(fn, "p1", order, typ, sec, P,
                                         max_alpha=1)]
@@ -340,8 +370,8 @@ def test_certify_registry_sector_lies_above_sigma_star_near_pi_half():
     # sigma_w = 1.4706: sigma* + 0.1 is within 1e-4 of pi/2, and the
     # sector must still lie above sigma*, where P has no zero ray
     p = MaterialParams(0.1, 0.1, 1.0)
-    sigma_star, sec, certs = certify_registry(p, names=["t1"], max_alpha=1)
-    assert derive_constants(p).sigma_w < sigma_star < sec.sigma < math.pi / 2
+    star, _, sec, certs = certify_registry(p, names=["t1"], max_alpha=1)
+    assert derive_constants(p).sigma_w < star < sec.sigma < math.pi / 2
     assert np.isfinite(certs[0].estimated_constant)
 
 
@@ -394,3 +424,112 @@ def test_jet_derivatives_match_mpmath(p, monkeypatch):
                     err = abs(deriv[a, n, k] - exact)
                     assert err <= 1e-10 * max(abs(exact), bound[k]), \
                         (name, a, n, deriv[a, n, k], exact)
+
+
+# pi - |arg z*| of the zero of the Lopatinskii determinant on the three
+# eta_w > 0 acceptance sets, four sets the acceptance list turned away and
+# the eta_w < 0 set (2.019, 0.353, 2.543), from a 40-digit mpmath.findroot
+# on l1 (l2 and the reduced determinant give the same digits); (1, 1, 2)
+# and (1, 1, 3) have no zero above sigma_w
+ZERO_RAYS = {(1.0, 2.0, 0.5): 0.03743438550057301,
+             (1.0, 4.0, 1.0): 0.01348204934608747,
+             (2.0, 4.0, 1.0): 0.007648528957283661,
+             (2.0, 1.0, 1.0): 0.6687666838678053,
+             (1.0, 2.0, 1.5): 0.2403047167157542,
+             (1.0, 2.0, 1.0): 0.1930229088613632,
+             (1.0, 3.0, 1.0): 0.04041451463859569,
+             (2.019, 0.353, 2.543): 1.04375596442315,
+             (1.0, 1.0, 2.0): None,
+             (1.0, 1.0, 3.0): None}
+# and on sets of log-uniform samples, checked against mpmath.findroot of
+# D at 30 digits: the first two hold roots near |z| = 0.1 (coefficients
+# sampled on |z| = 2 lose the second's), the third a root that 4 Newton
+# steps leave 1.1e-10 away, the fourth a root whose |D| does not round
+# below 1e-12 (1 + |z|^3), the fifth one whose polished copies differ by
+# 1.3e-9
+ZERO_RAYS.update({
+    (0.11366632331298832, 2.1472829540689378, 0.2757181667625123):
+        0.0006719890895708363,
+    (0.1413911489634281, 8.428089850162825, 1.202326474717448):
+        0.00016394117237629086,
+    (6.176240309899735, 0.28357379519136355, 0.11618356534908085):
+        1.024783267537649,
+    (0.010797785335069822, 25.976801553094585, 7.382922988905499):
+        8.10813e-06,
+    (7.635646365253944, 0.005807490392257117, 12.006755156021482):
+        1.25188657762})
+
+
+@pytest.mark.parametrize("coeffs", list(ZERO_RAYS), ids=str)
+def test_sigma_star_is_the_zero_ray(coeffs):
+    p = MaterialParams(*coeffs)
+    dc = derive_constants(p)
+    star, rays = sigma_star(p, dc)
+    if ZERO_RAYS[coeffs] is None:
+        assert rays == () and star == dc.sigma_w + 1e-4
+    else:
+        assert len(rays) == 1
+        assert abs(rays[0] - ZERO_RAYS[coeffs]) <= 1e-10
+        assert star == max(dc.sigma_w + 1e-4, rays[0])
+
+
+def root_on_ray(p, ray):
+    """The zero of the reduced determinant on arg z = pi - ray, in
+    floating point: the minimum of |D| / |z|^3 over the modulus, zoomed
+    in four times."""
+    dc = derive_constants(p)
+    mods, width = np.logspace(-3, 3, 6001), 6 * math.log(10) / 6000
+    for _ in range(4):
+        z = mods * np.exp(1j * (math.pi - ray))
+        d = symbols.reduced_det(symbols.roots_t(1.0, z, dc, p.mu))
+        z0 = z[np.argmin(np.abs(d) / np.abs(z) ** 3)]
+        mods = abs(z0) * np.exp(np.linspace(-width, width, 201))
+        width /= 100
+    return z0
+
+
+@pytest.mark.parametrize("coeffs", [(2.0, 1.0, 1.0), (2.019, 0.353, 2.543)],
+                         ids=str)
+def test_zero_ray_is_a_zero_of_l1(coeffs):
+    # a 40-digit root of l1, started from the float root on the ray
+    p = MaterialParams(*coeffs)
+    dc = derive_constants(p)
+    (ray,) = sigma_star(p, dc)[1]
+    with mp.workdps(40):
+        z = mp.findroot(lambda x: symbols.frak_l(1, mp_roots_t(1, x, dc,
+                                                               p.mu)),
+                        mp.mpc(root_on_ray(p, ray)))
+        assert abs(float(mp.pi - abs(mp.arg(z))) - ray) <= 1e-10
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    ((4.936844284156384, 0.06439677392935479, 40.33892447254955), 0),
+    ((0.0910480466510552, 3.092216913732094, 0.26854166063098156), 1)],
+    ids=["a", "b"])
+def test_no_zero_ray_at_pi(coeffs, count):
+    # on these sets (from a log-uniform sample) Newton pulls a spurious
+    # root onto D's trivial zero z = 0, whose ray would read pi
+    p = MaterialParams(*coeffs)
+    star, rays = sigma_star(p)
+    assert len(rays) == count and star < math.pi / 2
+
+
+def test_sigma_star_coefficients_do_not_overflow():
+    # the FFT gives the coefficients of D's product at z = mu w, in w;
+    # taken in z they would overflow for mu above about 1e5
+    with np.errstate(over="raise", invalid="raise"):
+        for mu in (1e5, 1e8):
+            assert sigma_star(MaterialParams(mu, 1.0, 1.0)) == (1e-4, ())
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.10790840445381386, 4.231949517477533, 6.691310059954052),
+    (0.1772419636899714, 2.194061664763007, 1.9696044787648668)],
+    ids=["a", "b"])
+def test_zeros_outside_the_sector_are_no_rays(coeffs):
+    # eta_w < 0 sets (from a log-uniform sample) whose principal-branch D
+    # vanishes only at |arg z| > pi - sigma_w, beyond the cuts of t1 and
+    # t2, where no sector reaches
+    p = MaterialParams(*coeffs)
+    dc = derive_constants(p)
+    assert sigma_star(p, dc) == (dc.sigma_w + 1e-4, ())

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -150,7 +151,9 @@ class TestScenarios:
         assert code == 0
         report = read_report(tmp_path, "scan_l1")
         assert report["scan"]["C"] > 0
-        assert report["empirical_sigma_star"] > 0
+        # (1, 1, 2) has no zero ray above sigma_w = pi/4
+        assert report["sigma_star"] == math.pi / 4 + 1e-4
+        assert report["zero_rays"] == []
 
     def test_empty_scan_grid_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -200,6 +203,15 @@ class TestScenarios:
         assert est["delta"] == 5.0
         # the reference parameters (1, 1, 2) have sigma_w = pi/4
         assert est["sigma"] == math.pi / 4 + 0.4
+
+    @pytest.mark.parametrize("target", ["P", "re_omega"])
+    def test_every_scan_reports_the_zero_rays(self, tmp_path, target):
+        code, out = run_json(tmp_path, "scan", ["scan", "--target", target], {
+            "params": {"mu": 2, "nu": 1, "kappa": 1}, "sigma": 0.3,
+            "grid": {"n_lambda": 4, "n_theta": 3, "n_xi": 4}})
+        assert code == 0
+        assert out["sigma_star"] == out["zero_rays"][0] == pytest.approx(
+            0.6687666838678053, abs=1e-10)
 
     def test_sigma_on_solve_full_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -510,3 +522,75 @@ class TestSectorNearPiHalf:
         assert code == 2 and out is None
         assert "invalid config: sigma = 1.6 must lie in (0, pi/2)" \
             in capsys.readouterr().err
+
+
+class TestZeroRays:
+    """(2, 1, 1) has sigma_w = 0 and a Lopatinskii zero ray at
+    sigma_L = 0.6688: arg lambda = +-2.4728 holds zeros of l1, l2 and
+    det L, and every sector and lambda must stay above it."""
+
+    PARAMS = {"mu": 2, "nu": 1, "kappa": 1}
+    SIGMA_L = 0.6687666838678053
+
+    def test_certificates_report_the_ray(self, tmp_path):
+        code, out = run_json(tmp_path, "c", ["scan", "--target",
+                                             "certificates"],
+                             {"params": self.PARAMS, "symbols": ["t1"],
+                              "max_alpha": 0})
+        assert code == 0
+        assert out["sigma_star"] == out["zero_rays"][0] == pytest.approx(
+            self.SIGMA_L, abs=1e-10)
+        assert out["certificates"][0]["sigma"] == out["sigma_star"] + 0.1
+
+    def test_scan_in_the_ray_sector_exit_2(self, tmp_path, capsys):
+        # the grid alone reported C = 0.0247 and exit 0 here
+        code, out = run_json(tmp_path, "scan", ["scan", "--target", "l1"],
+                             {"params": self.PARAMS, "sigma": 0.2})
+        assert code == 2 and out is None
+        assert "sigma = 0.2000 <= sigma_L = 0.6688: the sector holds zero " \
+            "rays of the Lopatinskii determinant" in capsys.readouterr().err
+
+    def test_scan_default_lies_above_the_ray(self, tmp_path):
+        code, out = run_json(tmp_path, "scan", ["scan", "--target", "l1"], {
+            "params": self.PARAMS,
+            "grid": {"n_lambda": 8, "n_theta": 3, "n_xi": 8}})
+        assert code == 0
+        assert out["scan"]["sigma"] == out["sigma_star"] + 0.2
+        assert out["scan"]["sigma"] > self.SIGMA_L
+
+    def test_rbound_in_the_ray_sector_exit_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated in a refused sector")
+
+        monkeypatch.setattr(cli, "estimate_rbound", no_estimate)
+        code, out = run_json(tmp_path, "rb", ["rbound", "--trials", "1"],
+                             {"params": self.PARAMS, "sigma": 0.4})
+        assert code == 2 and out is None
+        assert "sigma = 0.4000 <= sigma_L = 0.6688: the sector holds zero " \
+            "rays of the Lopatinskii determinant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arg", [2.473, -2.5, 3.0])
+    def test_solve_beyond_the_ray_exit_2(self, tmp_path, capsys,
+                                         monkeypatch, arg):
+        # pi - sigma_L = 2.4728 <= |arg lambda| < pi - sigma_w = pi
+        monkeypatch.setattr(cli, "solve_general", None)
+        lam = 10 * cmath.exp(1j * arg)
+        code, out = run_json(tmp_path, "s", ["solve"], {
+            "params": self.PARAMS, "lambda": [lam.real, lam.imag],
+            "points_per_axis": 16})
+        assert code == 2 and out is None
+        assert "< pi - sigma_L = 2.47283" in capsys.readouterr().err
+
+
+def test_eta_negative_default_scan_lies_above_the_ray(tmp_path):
+    # (2.019, 0.353, 2.543): eta_w < 0, sigma_w = 0.7322 and a zero ray
+    # at 1.0438; the default scan sat at 0.932, in the ray's sector, and
+    # reported C = 0.00211 with exit 0
+    code, out = run_json(tmp_path, "scan", ["scan", "--target", "l1"], {
+        "params": {"mu": 2.019, "nu": 0.353, "kappa": 2.543},
+        "grid": {"n_lambda": 8, "n_theta": 3, "n_xi": 8}})
+    assert code == 0
+    assert out["zero_rays"] == [out["sigma_star"]]
+    assert out["sigma_star"] == pytest.approx(1.04375596442315, abs=1e-10)
+    assert out["scan"]["sigma"] == out["sigma_star"] + 0.2

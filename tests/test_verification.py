@@ -70,6 +70,33 @@ class TestRademacher:
         r2, = vf._group_ratios("S_A", [(lams[perm], shuffled)], P, SEC)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
+    def test_trial_ratio_is_the_exact_rademacher_average(self):
+        # the argmax trial, redrawn as estimate_rbound draws it: its ratio
+        # is the square root of the exact sign average over its members'
+        # output blocks over the same average over their data blocks
+        fam, seed, m_max = "T_B", 2, 8
+        est = vf.estimate_rbound(fam, SEC, P, GEO, m_max=m_max, trials=4,
+                                 seed=seed)
+        t = est.argmax_trial["trial"]
+        rng = np.random.default_rng((seed, t))
+        m = int(rng.integers(1, m_max + 1))
+        lams = SEC.sample(rng, m, lam_hi=1e3)
+        data = rv.random_full_data(GEO, rng, batch=m)
+        assert m == est.argmax_trial["m"] > 1
+
+        def mean_sq(blocks):
+            per_member = [np.moveaxis(b, -GEO.dim - 1, 0) for b in blocks]
+            weights = np.concatenate([np.broadcast_to(
+                GEO.mode_weights(), b.shape[1:]).ravel()
+                for b in per_member])
+            return vf.rademacher_mean_sq(
+                [np.concatenate([b[j].ravel() for b in per_member])
+                 for j in range(m)], weights, "exact")
+
+        ratio = np.sqrt(mean_sq(vf.family_apply(fam, data, lams, P, SEC))
+                        / mean_sq(rv.data_blocks(data, lams)))
+        assert abs(est.ratios[t] - ratio) <= 1e-12 * ratio
+
     def test_zero_denominator(self, monkeypatch):
         monkeypatch.setattr(vf, "random_full_data", scaled_data(0.0))
         with pytest.raises(ZeroDenominator):
